@@ -33,13 +33,7 @@ from .harness import (
     run_experiment,
     write_results_csv,
 )
-from .rules import (
-    APPROVAL,
-    committee_size,
-    seq_chamberlin_courant,
-    seq_monroe,
-    stv,
-)
+from .rules import APPROVAL, RULES
 
 
 def _load_json(path: str) -> object:
@@ -66,23 +60,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run_rule(args: argparse.Namespace) -> int:
     instance = instance_from_dict(_load_json(args.instance))
-    if args.rule == "sccr":
-        budget, trace = seq_chamberlin_courant(instance, args.scoring)
-        trace_payload = trace.to_dict()
-    elif args.rule == "smr":
-        budget, assignment, trace = seq_monroe(instance, args.scoring)
-        trace_payload = trace.to_dict()
-        trace_payload["assignment"] = {
-            "capacity": assignment.capacity,
-            "rep": {str(v): p for v, p in sorted(assignment.rep.items())},
-        }
-    else:
-        k = args.k if args.k is not None else committee_size(instance)
-        budget, trace = stv(instance, k, args.quota)
-        trace_payload = trace.to_dict()
+    budget, trace = RULES[args.rule].run(instance, args.scoring, args.quota, args.k)
     _emit(budget_to_dict(budget), args.out)
     if args.trace is not None:
-        atomic_write_text(Path(args.trace), json.dumps(trace_payload, indent=2) + "\n")
+        atomic_write_text(Path(args.trace), json.dumps(trace.to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -145,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=_cmd_gen)
 
     run = sub.add_parser("run-rule", help="run a budgeting rule on an instance")
-    run.add_argument("--rule", required=True, choices=("sccr", "smr", "stv"))
+    run.add_argument("--rule", required=True, choices=tuple(RULES))
     run.add_argument("--instance", required=True, help="instance JSON file")
     run.add_argument("--scoring", choices=("approval", "borda"), default=APPROVAL)
     run.add_argument("--quota", choices=("hare", "droop"), default="hare")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -21,32 +22,31 @@ from functools import partial
 from pathlib import Path
 
 from .axioms import AXIOMS, UJR, check_axiom
-from .core import Budget, ContractError, Instance, ValidationError
+from .core import ContractError, ValidationError, budget_to_dict, instance_to_dict
 from .culture import (
-    BERNOULLI,
-    CultureConfig,
+    PREFIX,
     UNIT,
+    CultureConfig,
     culture_config_from_dict,
     culture_config_to_dict,
     equal_valued_culture,
     general_case_culture,
     generate,
 )
-from .rules import committee_size, seq_chamberlin_courant, seq_monroe, stv
-
-EQUAL = "equal"
-GENERAL = "general"
-CASE_NAMES = (EQUAL, GENERAL)
-
-SCCR = "sccr"
-SMR = "smr"
-STV = "stv"
-RULES_BY_CASE = {EQUAL: (SCCR, SMR, STV), GENERAL: (SCCR,)}
+from .rules import RULES
 
 PAPER_TRIAL_COUNTS = (100, 300, 500, 1000, 3000, 5000)
 
 RESULTS_HEADER = ("trial_count", "case", "rule", "probability_pct", "elapsed_ms")
 PLOT_HEADER = ("trial_count", "rule", "probability")
+
+# A case name becomes part of plot_<case>.csv, a CSV field and --replay CASE:TRIAL.
+_CASE_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _check_case_name(name: object) -> None:
+    if not isinstance(name, str) or not _CASE_NAME.fullmatch(name):
+        raise ValidationError(f"case name {name!r} must match {_CASE_NAME.pattern}")
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,19 @@ class CaseConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-        if self.name not in CASE_NAMES:
-            raise ValidationError(f"unknown case {self.name!r}; expected one of {CASE_NAMES}")
-        allowed = RULES_BY_CASE[self.name]
+        _check_case_name(self.name)
         if not self.rules:
             raise ValidationError(f"case {self.name!r} needs at least one rule")
+        for name in self.rules:
+            rule = RULES.get(name) if isinstance(name, str) else None
+            if rule is None:
+                raise ValidationError(f"unknown rule {name!r}; expected one of {tuple(RULES)}")
+            if rule.needs_unit_cost and self.culture.cost_model != UNIT:
+                raise ValidationError(f"rule {name!r} needs unit costs (cost_model {UNIT!r})")
+            if rule.needs_rankings and self.culture.ballot_model != PREFIX:
+                raise ValidationError(f"rule {name!r} needs rankings (ballot_model {PREFIX!r})")
         if len(set(self.rules)) != len(self.rules):
             raise ValidationError(f"case {self.name!r} repeats a rule")
-        for rule in self.rules:
-            if rule not in allowed:
-                raise ValidationError(
-                    f"rule {rule!r} is not available for case {self.name!r} "
-                    f"(allowed: {allowed})"
-                )
-        if SMR in self.rules and self.culture.cost_model != UNIT:
-            raise ValidationError("smr needs a unit-cost culture")
-        if STV in self.rules and self.culture.ballot_model == BERNOULLI:
-            raise ValidationError("stv needs a ranking-producing (prefix) culture")
 
 
 @dataclass(frozen=True)
@@ -135,21 +131,11 @@ def default_experiment_config(
     return ExperimentConfig(
         trial_counts=trial_counts,
         cases=(
-            CaseConfig(EQUAL, RULES_BY_CASE[EQUAL], equal_valued_culture()),
-            CaseConfig(GENERAL, RULES_BY_CASE[GENERAL], general_case_culture()),
+            CaseConfig("equal", ("sccr", "smr", "stv"), equal_valued_culture()),
+            CaseConfig("general", ("sccr",), general_case_culture()),
         ),
         master_seed=master_seed,
     )
-
-
-def _run_rule(instance: Instance, rule: str) -> Budget:
-    if rule == SCCR:
-        return seq_chamberlin_courant(instance)[0]
-    if rule == SMR:
-        return seq_monroe(instance)[0]
-    if rule == STV:
-        return stv(instance, committee_size(instance))[0]
-    raise ValidationError(f"unknown rule {rule!r}")
 
 
 def _evaluate_trial(
@@ -161,7 +147,7 @@ def _evaluate_trial(
         nanos: dict[str, int] = {}
         for rule in case.rules:
             started = time.perf_counter_ns() if record_timing else 0
-            budget = _run_rule(instance, rule)
+            budget = RULES[rule].run(instance)[0]
             report = check_axiom(instance, budget, axiom)
             nanos[rule] = time.perf_counter_ns() - started if record_timing else 0
             verdicts[rule] = report.satisfied
@@ -171,11 +157,6 @@ def _evaluate_trial(
             f"case {case.name!r} trial {trial} "
             f"(master_seed {case.culture.master_seed}) failed: {exc}"
         ) from exc
-
-
-def _effective_case(config: ExperimentConfig, case: CaseConfig) -> CaseConfig:
-    culture = replace(case.culture, master_seed=config.master_seed)
-    return CaseConfig(case.name, case.rules, culture)
 
 
 def _format_probability(satisfied: int, count: int) -> str:
@@ -196,7 +177,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     max_trials = counts[-1]
     per_case: dict[str, tuple[CaseConfig, dict[str, list[bool]], dict[str, list[int]]]] = {}
     for case in config.cases:
-        effective = _effective_case(config, case)
+        effective = replace(case, culture=replace(case.culture, master_seed=config.master_seed))
         job = partial(_evaluate_trial, effective, config.axiom, config.record_timing)
         if workers is not None and workers > 1:
             chunk = max(1, max_trials // (workers * 8))
@@ -223,8 +204,6 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 
 def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
     """Re-execute a single trial and report instance, budgets, and verdicts."""
-    from .core import budget_to_dict, instance_to_dict
-
     for case in config.cases:
         if case.name == case_name:
             break
@@ -232,11 +211,10 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
         raise ValidationError(f"config has no case named {case_name!r}")
     if type(trial) is not int or trial < 0:
         raise ValidationError("trial index must be a non-negative integer")
-    effective = _effective_case(config, case)
-    instance = generate(effective.culture, trial)
+    instance = generate(replace(case.culture, master_seed=config.master_seed), trial)
     results = {}
-    for rule in effective.rules:
-        budget = _run_rule(instance, rule)
+    for rule in case.rules:
+        budget = RULES[rule].run(instance)[0]
         report = check_axiom(instance, budget, config.axiom)
         results[rule] = {"budget": budget_to_dict(budget), "report": report.to_dict()}
     return {

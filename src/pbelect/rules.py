@@ -14,9 +14,9 @@ instances therefore always produce identical budgets and traces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Literal
+from typing import Callable, Literal
 
 from .core import (
     Assignment,
@@ -51,9 +51,10 @@ class RuleTrace:
 
     rule: str
     entries: tuple[TraceEntry, ...]
+    assignment: Assignment | None = None  # set on smr runs made through RULES
 
     def to_dict(self) -> dict:
-        return {
+        data: dict = {
             "rule": self.rule,
             "entries": [
                 {
@@ -65,6 +66,12 @@ class RuleTrace:
                 for e in self.entries
             ],
         }
+        if self.assignment is not None:
+            data["assignment"] = {
+                "capacity": self.assignment.capacity,
+                "rep": {str(v): p for v, p in sorted(self.assignment.rep.items())},
+            }
+        return data
 
 
 def _score_json(score: int | Fraction) -> int | str:
@@ -343,6 +350,39 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
             f"over limit {instance.limit})"
         )
     return budget, RuleTrace("stv", tuple(entries))
+
+
+# --- registry --------------------------------------------------------------------
+
+def _run_sccr(instance, scoring=APPROVAL, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
+    return seq_chamberlin_courant(instance, scoring)
+
+
+def _run_smr(instance, scoring=APPROVAL, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
+    budget, assignment, trace = seq_monroe(instance, scoring)
+    return budget, replace(trace, assignment=assignment)
+
+
+def _run_stv(instance, scoring=APPROVAL, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
+    return stv(instance, committee_size(instance) if k is None else k, quota)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """``run(instance, scoring, quota, k) -> (budget, trace)`` plus what the rule
+    needs of an instance. Runners ignore arguments their rule does not take and call
+    it by its module-global name, so swapping that global (to trace it) reaches them."""
+
+    run: Callable[..., tuple[Budget, RuleTrace]]
+    needs_unit_cost: bool = False
+    needs_rankings: bool = False
+
+
+RULES: dict[str, Rule] = {
+    "sccr": Rule(_run_sccr),
+    "smr": Rule(_run_smr, needs_unit_cost=True),
+    "stv": Rule(_run_stv, needs_unit_cost=True, needs_rankings=True),
+}
 
 
 # --- brute-force optima (test oracles) --------------------------------------------

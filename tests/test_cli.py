@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pbelect.cli import main
-from pbelect.core import instance_from_dict, instance_to_dict, make_instance
+from pbelect.cli import _build_parser, main
+from pbelect.core import (
+    ContractError,
+    budget_to_dict,
+    instance_from_dict,
+    instance_to_dict,
+    make_instance,
+)
 from pbelect.culture import culture_config_to_dict, equal_valued_culture
 from pbelect.harness import experiment_config_to_dict
+from pbelect.rules import RULES, committee_size, seq_chamberlin_courant, seq_monroe, stv
 from test_harness import small_config
 
 
@@ -98,6 +106,59 @@ def test_run_rule_borda_without_rankings_is_config_error(instance_file, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: contract:")
+
+
+# Each rule called directly, returning its budget and the trace JSON that
+# run-rule has always written for it.
+
+def _sccr_direct(instance):
+    budget, trace = seq_chamberlin_courant(instance)
+    return budget, trace.to_dict()
+
+
+def _smr_direct(instance):
+    budget, assignment, trace = seq_monroe(instance)
+    payload = trace.to_dict()
+    payload["assignment"] = {
+        "capacity": assignment.capacity,
+        "rep": {str(v): p for v, p in sorted(assignment.rep.items())},
+    }
+    return budget, payload
+
+
+def _stv_direct(instance):
+    budget, trace = stv(instance, committee_size(instance))
+    return budget, trace.to_dict()
+
+
+DIRECT = {"sccr": _sccr_direct, "smr": _smr_direct, "stv": _stv_direct}
+
+
+def test_rule_choices_are_the_registry():
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    rule = next(a for a in subparsers.choices["run-rule"]._actions if a.dest == "rule")
+    assert tuple(rule.choices) == tuple(RULES) == tuple(DIRECT)
+
+
+@pytest.mark.parametrize("fixture", ["i_a", "i_b", "i_c", "i_d", "i_e"])
+@pytest.mark.parametrize("rule", list(RULES))
+def test_run_rule_matches_direct_call(rule, fixture, request, tmp_path, capsys):
+    instance = request.getfixturevalue(fixture)
+    path = write_json(tmp_path / "inst.json", instance_to_dict(instance))
+    out, trace = tmp_path / "budget.json", tmp_path / "trace.json"
+    code = main([
+        "run-rule", "--rule", rule, "--instance", str(path),
+        "--out", str(out), "--trace", str(trace),
+    ])
+    try:
+        budget, payload = DIRECT[rule](instance)
+    except ContractError:
+        assert code == 2
+        assert not out.exists() and not trace.exists()
+        return
+    assert code == 0
+    assert out.read_text() == json.dumps(budget_to_dict(budget), indent=2) + "\n"
+    assert trace.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_run_rule_malformed_json(tmp_path, capsys):

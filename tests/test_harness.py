@@ -90,8 +90,36 @@ def test_rejects_stv_without_rankings():
 
 
 def test_rejects_unknown_case_name():
-    with pytest.raises(ValidationError):
-        CaseConfig("mixed", ("sccr",), equal_valued_culture())
+    for name in ("", "a/b", "a:b", "a,b", "a b", "equal\n", 3):
+        with pytest.raises(ValidationError, match="case name"):
+            CaseConfig(name, ("sccr",), equal_valued_culture())
+
+
+def test_rejects_unknown_or_malformed_rule():
+    for rules in (("ejr",), (["sccr"],), ("sccr", "sccr"), ()):
+        with pytest.raises(ValidationError):
+            CaseConfig("equal", rules, equal_valued_culture())
+    data = experiment_config_to_dict(small_config())
+    data["cases"][0]["rules"] = [["sccr"]]
+    with pytest.raises(ValidationError, match="unknown rule"):
+        experiment_config_from_dict(data)
+
+
+def test_cases_are_any_name_checked_against_rule_capabilities():
+    cases = (
+        CaseConfig("general", ("smr",), CultureConfig()),
+        CaseConfig("mixed_2", ("stv", "sccr"), CultureConfig(limit_model="budget")),
+    )
+    result = run_experiment(small_config(cases=cases, trial_counts=(4,)))
+    assert [(row.case, row.rule) for row in result.rows] == [
+        ("general", "smr"), ("mixed_2", "stv"), ("mixed_2", "sccr"),
+    ]
+    uniform = CultureConfig(cost_model=UNIFORM, limit_model="budget")
+    for rule in ("smr", "stv"):
+        with pytest.raises(ValidationError, match=f"rule '{rule}' needs unit costs"):
+            CaseConfig("equal", (rule,), uniform)
+    with pytest.raises(ValidationError, match="rule 'stv' needs rankings"):
+        CaseConfig("equal", ("stv",), CultureConfig(ballot_model=BERNOULLI))
 
 
 def test_rejects_unknown_axiom():
@@ -189,12 +217,14 @@ def test_replay_unknown_case():
 
 
 def test_trial_failure_reports_replay_coordinates(monkeypatch):
-    import pbelect.harness as harness
+    from dataclasses import replace
 
-    def boom(instance, rule):
+    from pbelect.rules import RULES
+
+    def boom(instance, *args):
         raise ContractError("synthetic failure")
 
-    monkeypatch.setattr(harness, "_run_rule", boom)
+    monkeypatch.setitem(RULES, "sccr", replace(RULES["sccr"], run=boom))
     with pytest.raises(ContractError, match=r"case 'equal' trial 0 \(master_seed 31\)"):
         run_experiment(small_config(trial_counts=(1,)))
 
