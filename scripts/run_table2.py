@@ -11,6 +11,7 @@ import argparse
 import time
 from pathlib import Path
 
+from pbelect.core import ValidationError
 from pbelect.harness import (
     default_experiment_config,
     emit_plot_data,
@@ -23,7 +24,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out/table2", help="directory for CSV outputs")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--workers", type=int, default=None, help="parallel worker processes")
+    parser.add_argument("--workers", type=int, default=None, help="parallel worker processes (N >= 1)")
     parser.add_argument(
         "--counts", type=int, nargs="+", default=None,
         help="trial counts (default: 100 300 500 1000 3000 5000)",
@@ -37,7 +38,10 @@ def main() -> int:
             master_seed=args.seed, trial_counts=tuple(args.counts)
         )
     started = time.monotonic()
-    result = run_experiment(config, workers=args.workers)
+    try:
+        result = run_experiment(config, workers=args.workers)
+    except ValidationError as exc:
+        parser.error(str(exc))
     elapsed = time.monotonic() - started
 
     out_dir = Path(args.out_dir)

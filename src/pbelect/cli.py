@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .axioms import check_axiom
+from .axioms import AXIOMS, check_axiom
 from .core import (
     ContractError,
     ValidationError,
@@ -33,7 +33,7 @@ from .harness import (
     run_experiment,
     write_results_csv,
 )
-from .rules import APPROVAL, RULES
+from .rules import APPROVAL, BORDA, DROOP, HARE, RULES
 
 
 def _load_json(path: str) -> object:
@@ -92,9 +92,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise ValidationError("--replay expects CASE:TRIAL, e.g. equal:17") from None
         _emit(replay_trial(config, case_name, trial), None)
         return 0
+    result = run_experiment(config, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(config, workers=args.workers)
     results_path = write_results_csv(result, out_dir / "results.csv")
     plot_paths = emit_plot_data(result, out_dir)
     for path in [results_path, *plot_paths]:
@@ -128,15 +128,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run-rule", help="run a budgeting rule on an instance")
     run.add_argument("--rule", required=True, choices=tuple(RULES))
     run.add_argument("--instance", required=True, help="instance JSON file")
-    run.add_argument("--scoring", choices=("approval", "borda"), default=APPROVAL)
-    run.add_argument("--quota", choices=("hare", "droop"), default="hare")
+    run.add_argument("--scoring", choices=(APPROVAL, BORDA), default=APPROVAL)
+    run.add_argument("--quota", choices=(HARE, DROOP), default=HARE)
     run.add_argument("--k", type=int, default=None, help="stv committee size (default: from the limit)")
     run.add_argument("--out", default=None, help="budget JSON file (default: stdout)")
     run.add_argument("--trace", default=None, help="also write the rule trace JSON here")
     run.set_defaults(handler=_cmd_run_rule)
 
     check = sub.add_parser("check-axiom", help="check a budget against an axiom")
-    check.add_argument("--axiom", required=True, choices=("ujr", "strong-bjr"))
+    check.add_argument("--axiom", required=True, choices=AXIOMS)
     check.add_argument("--instance", required=True, help="instance JSON file")
     check.add_argument("--budget", required=True, help="budget JSON file")
     check.add_argument("--out", default=None, help="report JSON file (default: stdout)")
@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run the satisfaction-probability study")
     experiment.add_argument("--config", default=None, help="experiment config JSON (default: built in)")
     experiment.add_argument("--out-dir", default="out", help="directory for CSV outputs")
-    experiment.add_argument("--workers", type=int, default=None, help="parallel worker processes")
+    experiment.add_argument("--workers", type=int, default=None, help="parallel worker processes (N >= 1)")
     experiment.add_argument("--seed", type=int, default=None, help="override the master seed")
     experiment.add_argument("--timing", action="store_true", help="record wall time per row")
     experiment.add_argument(

@@ -121,7 +121,11 @@ class Instance:
                 raise ValidationError("rankings, when given, must cover every voter")
             full = list(range(m))
             for v, ranking in enumerate(self.rankings):
-                if sorted(ranking) != full:
+                try:
+                    permutation = sorted(ranking) == full
+                except TypeError:  # ids of types that do not compare, e.g. [[0], 1]
+                    permutation = False
+                if not permutation:
                     raise ValidationError(
                         f"voter {v}'s ranking is not a permutation of all project ids"
                     )
@@ -281,14 +285,22 @@ def instance_from_dict(data: object) -> Instance:
             isinstance(entry, dict) and "id" in entry and "cost" in entry,
             "each project needs 'id' and 'cost'",
         )
+        _expect(
+            type(entry["id"]) is int and type(entry["cost"]) is int,
+            "project ids and costs must be integers",
+        )
         projects.append(Project(entry["id"], entry["cost"]))
     raw_ballots = data["ballots"]
     _expect(isinstance(raw_ballots, list), "'ballots' must be a list of lists")
     ballots = []
     for i, entry in enumerate(raw_ballots):
         _expect(isinstance(entry, list), f"ballot {i} must be a list of project ids")
-        _expect(len(entry) == len(set(entry)), f"ballot {i} repeats a project id")
-        ballots.append(frozenset(entry))
+        try:
+            ballot = frozenset(entry)
+        except TypeError:  # a nested list or object; ids are checked per element later
+            raise ValidationError(f"ballot {i} must be a list of project ids") from None
+        _expect(len(entry) == len(ballot), f"ballot {i} repeats a project id")
+        ballots.append(ballot)
     rankings = None
     if data.get("rankings") is not None:
         raw_rankings = data["rankings"]
@@ -314,7 +326,10 @@ def budget_from_dict(instance: Instance, data: object) -> Budget:
     assert isinstance(data, dict)
     _expect("selected" in data, "budget JSON needs a 'selected' field")
     raw = data["selected"]
-    _expect(isinstance(raw, list), "'selected' must be a list of project ids")
+    _expect(
+        isinstance(raw, list) and all(type(p) is int for p in raw),
+        "'selected' must be a list of project ids",
+    )
     _expect(len(raw) == len(set(raw)), "'selected' repeats a project id")
     budget = make_budget(instance, raw)
     if "total_cost" in data and data["total_cost"] != budget.total_cost:

@@ -73,16 +73,21 @@ class CultureConfig:
             raise ValidationError("m_range must be a non-empty interval with lower bound >= 3")
         if self.cost_model not in (UNIT, UNIFORM):
             raise ValidationError(f"unknown cost model {self.cost_model!r}")
-        if self.cost_model == UNIFORM and not 1 <= self.cost_min <= self.cost_max:
-            raise ValidationError("uniform costs need 1 <= cost_min <= cost_max")
+        if self.cost_model == UNIFORM and not (
+            type(self.cost_min) is int and type(self.cost_max) is int
+            and 1 <= self.cost_min <= self.cost_max
+        ):
+            raise ValidationError("uniform costs need integers 1 <= cost_min <= cost_max")
         if self.limit_model not in (COMMITTEE, BUDGET):
             raise ValidationError(f"unknown limit model {self.limit_model!r}")
         if self.limit_model == COMMITTEE and self.cost_model != UNIT:
             raise ValidationError("the committee limit model requires unit costs")
         if self.ballot_model not in (PREFIX, BERNOULLI):
             raise ValidationError(f"unknown ballot model {self.ballot_model!r}")
-        if self.ballot_model == BERNOULLI and not 0 < self.approval_prob <= 1:
-            raise ValidationError("approval_prob must lie in (0, 1]")
+        if self.ballot_model == BERNOULLI and not (
+            type(self.approval_prob) in (int, float) and 0 < self.approval_prob <= 1
+        ):
+            raise ValidationError("approval_prob must be a number in (0, 1]")
         if type(self.master_seed) is not int:
             raise ValidationError("master_seed must be an integer")
 

@@ -173,6 +173,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     prefix sums over the shared trial stream, so the result is independent of
     evaluation order and of ``workers``.
     """
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     counts = sorted(config.trial_counts)
     max_trials = counts[-1]
     per_case: dict[str, tuple[CaseConfig, dict[str, list[bool]], dict[str, list[int]]]] = {}
@@ -230,11 +232,19 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
 # --- file emission --------------------------------------------------------------
 
 def atomic_write_text(path: Path | str, text: str) -> Path:
-    """Write via a sibling temp file and rename, so failures leave no partial file."""
+    """Write via a uniquely named sibling temp file and rename, so concurrent
+    writers do not collide and failures leave no partial or temp file. The temp
+    file gets mode 0o666 less the umask, as ``open(path, "w")`` would give it."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -286,6 +296,7 @@ def results_from_csv(path: Path | str) -> ExperimentResult:
             raise ValidationError(f"line {lineno}: expected {len(RESULTS_HEADER)} fields")
         count_s, case, rule, prob, elapsed_s = record
         try:
+            _check_case_name(case)
             count = int(count_s)
             elapsed = int(elapsed_s)
             Decimal(prob)

@@ -174,6 +174,16 @@ def test_run_rule_missing_file(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, instance_file, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: io-error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "taken"]
+    assert list(target.iterdir()) == []
+
+
 # --- check-axiom ----------------------------------------------------------------------
 
 def test_check_axiom_violation_exits_3(tmp_path, i_e, capsys):
@@ -205,6 +215,51 @@ def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: contract:")
+
+
+# --- malformed input values ------------------------------------------------------------
+
+I_A = instance_to_dict(make_instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2))
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["run-rule", "--rule", "sccr", "--instance", "{a}"], {"a": {**I_A, "ballots": [[[0]]]}}),
+        (
+            ["run-rule", "--rule", "sccr", "--instance", "{a}"],
+            {"a": {**I_A, "projects": [{"id": 0, "cost": 1}, {"id": "a", "cost": 1}]}},
+        ),
+        (
+            ["run-rule", "--rule", "sccr", "--instance", "{a}"],
+            {"a": {**I_A, "rankings": [[[0], 1, 2]] * 4}},
+        ),
+        (
+            ["check-axiom", "--axiom", "ujr", "--instance", "{a}", "--budget", "{b}"],
+            {"a": I_A, "b": {"selected": [[0]]}},
+        ),
+        (
+            ["gen", "--config", "{a}", "--trial", "0"],
+            {"a": {"cost_model": "uniform", "limit_model": "budget", "cost_min": "a"}},
+        ),
+        (
+            ["gen", "--config", "{a}", "--trial", "0"],
+            {"a": {"ballot_model": "bernoulli", "approval_prob": "x"}},
+        ),
+    ],
+    ids=[
+        "ballot-of-lists", "project-id-string", "ranking-of-lists",
+        "selected-of-lists", "cost-min-string", "approval-prob-string",
+    ],
+)
+def test_malformed_values_exit_1_with_one_error_line(argv, inputs, tmp_path, capsys):
+    paths = {key: write_json(tmp_path / f"{key}.json", data) for key, data in inputs.items()}
+    out = tmp_path / "out.json"
+    code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-input:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{key}.json" for key in inputs)
 
 
 # --- gen | run-rule | check-axiom round trip ----------------------------------------------
@@ -263,6 +318,25 @@ def test_experiment_rejects_invalid_config(tmp_path, capsys):
     config = write_json(tmp_path / "exp.json", {"trial_counts": [0], "cases": []})
     assert main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: invalid-input:")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_rejects_workers_below_one(workers, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--workers", workers, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-input:")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["a:b", "a/b"])
+def test_plot_data_rejects_unsafe_case_names(case, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(f"trial_count,case,rule,probability_pct,elapsed_ms\n5,{case},sccr,40.00,0\n")
+    out_dir = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid-input:")
+    assert not out_dir.exists()
 
 
 def test_module_entry_point_runs():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 from decimal import Decimal
 
 import pytest
@@ -12,6 +14,7 @@ from pbelect.harness import (
     CaseConfig,
     ExperimentConfig,
     _format_probability,
+    atomic_write_text,
     default_experiment_config,
     emit_plot_data,
     experiment_config_from_dict,
@@ -235,6 +238,17 @@ def test_results_csv_round_trip(tmp_path):
     result = run_experiment(small_config())
     path = write_results_csv(result, tmp_path / "results.csv")
     assert results_from_csv(path) == result
+
+
+def test_atomic_write_keeps_umask_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        path = atomic_write_text(tmp_path / "out.txt", "text\n")
+    finally:
+        os.umask(old)
+    assert path.read_text() == "text\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_results_csv_rejects_bad_header(tmp_path):
