@@ -37,8 +37,12 @@ from .rules import APPROVAL, BORDA, DROOP, HARE, RULES
 
 
 def _load_json(path: str) -> object:
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # not UTF-8, not JSON, nested past the recursion limit, or an int too long to convert
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path} is not readable JSON: {exc}") from None
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -172,8 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ValidationError as exc:
         return _fail(1, "invalid-input", exc)
-    except json.JSONDecodeError as exc:
-        return _fail(1, "invalid-input", f"bad JSON: {exc}")
     except OSError as exc:
         return _fail(1, "io-error", exc)
     except ContractError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class ValidationError(ValueError):
@@ -23,6 +23,33 @@ class ContractError(RuntimeError):
 
 class ConfigurationError(ContractError):
     """A mode or rule was requested that the given data cannot support."""
+
+
+def as_tuple(value: object, what: str) -> tuple:
+    """``value`` as a tuple; ValidationError unless it is a list or tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list")
+    return tuple(value)
+
+
+def _project_ids(value: object, m: int, voter: int | None = None) -> frozenset[int]:
+    """``value`` as a set of ids in 0..m-1: voter ``voter``'s ballot, or a
+    budget's selection when ``voter`` is None. ValidationError otherwise."""
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise _ids_error(voter, "must be a list of project ids")
+    try:
+        ids = frozenset(value)
+    except TypeError:  # an unhashable entry such as [0]
+        raise _ids_error(voter, "must be a list of project ids") from None
+    for p in ids:
+        if type(p) is not int or not 0 <= p < m:
+            raise _ids_error(voter, f"names unknown project {p!r}")
+    return ids
+
+
+def _ids_error(voter: int | None, problem: str) -> ValidationError:
+    owner = "a budget" if voter is None else f"voter {voter}'s ballot"
+    return ValidationError(f"{owner} {problem}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +68,8 @@ class Instance:
     holds one full preference order per voter, most preferred first. Project
     ids are dense (exactly 0..m-1). Zero-cost projects are rejected unless
     ``allow_zero_cost`` is set; empty approval ballots are always rejected.
+    Every field is checked here; lists are accepted and stored as tuples and
+    frozensets, and anything malformed raises ValidationError.
     """
 
     projects: tuple[Project, ...]
@@ -50,13 +79,62 @@ class Instance:
     allow_zero_cost: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "projects", tuple(sorted(self.projects, key=lambda p: p.id))
-        )
-        object.__setattr__(self, "ballots", tuple(frozenset(b) for b in self.ballots))
-        if self.rankings is not None:
-            object.__setattr__(self, "rankings", tuple(tuple(r) for r in self.rankings))
-        self._validate()
+        if type(self.allow_zero_cost) is not bool:
+            raise ValidationError("allow_zero_cost must be a boolean")
+        projects = as_tuple(self.projects, "projects")
+        if not projects:
+            raise ValidationError("an instance needs at least one project")
+        for p in projects:
+            if type(p) is not Project or type(p.id) is not int or type(p.cost) is not int:
+                raise ValidationError("projects must be Projects with integer ids and costs")
+            if p.cost < 0:
+                raise ValidationError(f"project {p.id} has negative cost {p.cost}")
+            if p.cost == 0 and not self.allow_zero_cost:
+                raise ValidationError(
+                    f"project {p.id} has zero cost; set allow_zero_cost to permit this"
+                )
+        projects = tuple(sorted(projects, key=lambda p: p.id))
+        m = len(projects)
+        if [p.id for p in projects] != list(range(m)):
+            raise ValidationError("project ids must be exactly 0..m-1 without duplicates")
+        object.__setattr__(self, "projects", projects)
+        if type(self.limit) is not int or self.limit <= 0:
+            raise ValidationError("limit must be a positive integer")
+        max_cost = max(p.cost for p in projects)
+        if self.limit < max_cost:
+            raise ValidationError(
+                f"limit {self.limit} is below the most expensive project ({max_cost})"
+            )
+        ballots = as_tuple(self.ballots, "ballots")
+        if not ballots:
+            raise ValidationError("an instance needs at least one voter")
+        checked = []
+        for v, ballot in enumerate(ballots):
+            ballot = _project_ids(ballot, m, v)
+            if not ballot:
+                raise ValidationError(f"voter {v} has an empty approval ballot")
+            checked.append(ballot)
+        object.__setattr__(self, "ballots", tuple(checked))
+        if self.rankings is None:
+            return
+        rankings = as_tuple(self.rankings, "rankings")
+        if len(rankings) != len(ballots):
+            raise ValidationError("rankings, when given, must cover every voter")
+        full = frozenset(range(m))
+        checked = []
+        for v, ranking in enumerate(rankings):
+            try:  # m entries that together name every id form a permutation
+                permutation = (
+                    isinstance(ranking, (list, tuple))
+                    and len(ranking) == m
+                    and frozenset(ranking) == full
+                )
+            except TypeError:  # an unhashable entry such as [0]
+                permutation = False
+            if not permutation:
+                raise ValidationError(f"voter {v}'s ranking is not a permutation of all project ids")
+            checked.append(tuple(ranking))
+        object.__setattr__(self, "rankings", tuple(checked))
 
     @property
     def n(self) -> int:
@@ -86,50 +164,6 @@ class Instance:
             return None
         return tuple({p: i for i, p in enumerate(r)} for r in self.rankings)
 
-    def _validate(self) -> None:
-        if not self.projects:
-            raise ValidationError("an instance needs at least one project")
-        if not self.ballots:
-            raise ValidationError("an instance needs at least one voter")
-        m = len(self.projects)
-        for p in self.projects:
-            if type(p.id) is not int or type(p.cost) is not int:
-                raise ValidationError("project ids and costs must be integers")
-            if p.cost < 0:
-                raise ValidationError(f"project {p.id} has negative cost {p.cost}")
-            if p.cost == 0 and not self.allow_zero_cost:
-                raise ValidationError(
-                    f"project {p.id} has zero cost; set allow_zero_cost to permit this"
-                )
-        if [p.id for p in self.projects] != list(range(m)):
-            raise ValidationError("project ids must be exactly 0..m-1 without duplicates")
-        if type(self.limit) is not int or self.limit <= 0:
-            raise ValidationError("limit must be a positive integer")
-        max_cost = max(p.cost for p in self.projects)
-        if self.limit < max_cost:
-            raise ValidationError(
-                f"limit {self.limit} is below the most expensive project ({max_cost})"
-            )
-        for v, ballot in enumerate(self.ballots):
-            if not ballot:
-                raise ValidationError(f"voter {v} has an empty approval ballot")
-            for p in ballot:
-                if type(p) is not int or not 0 <= p < m:
-                    raise ValidationError(f"voter {v} approves unknown project {p!r}")
-        if self.rankings is not None:
-            if len(self.rankings) != self.n:
-                raise ValidationError("rankings, when given, must cover every voter")
-            full = list(range(m))
-            for v, ranking in enumerate(self.rankings):
-                try:
-                    permutation = sorted(ranking) == full
-                except TypeError:  # ids of types that do not compare, e.g. [[0], 1]
-                    permutation = False
-                if not permutation:
-                    raise ValidationError(
-                        f"voter {v}'s ranking is not a permutation of all project ids"
-                    )
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -153,44 +187,40 @@ class Assignment:
 
 def make_instance(
     costs: Iterable[int],
-    ballots: Iterable[Iterable[int]],
+    ballots: Iterable[Collection[int]],
     limit: int,
-    rankings: Iterable[Iterable[int]] | None = None,
+    rankings: Iterable[Sequence[int]] | None = None,
     allow_zero_cost: bool = False,
 ) -> Instance:
-    """Build an instance from a plain cost list; project ``i`` costs ``costs[i]``."""
+    """Build an instance from a plain cost list; project ``i`` costs ``costs[i]``.
+
+    Each ballot is a list, tuple or set of ids and each ranking a list or tuple.
+    """
     projects = tuple(Project(i, c) for i, c in enumerate(costs))
     return Instance(
         projects,
-        tuple(frozenset(b) for b in ballots),
+        tuple(ballots),
         limit,
-        rankings=None if rankings is None else tuple(tuple(r) for r in rankings),
+        rankings=None if rankings is None else tuple(rankings),
         allow_zero_cost=allow_zero_cost,
     )
 
 
-def _checked_ids(instance: Instance, project_ids: Iterable[int]) -> frozenset[int]:
-    ids = frozenset(project_ids)
-    for p in ids:
-        if type(p) is not int or not 0 <= p < instance.m:
-            raise ValidationError(f"unknown project id {p!r}")
-    return ids
+def total_cost(instance: Instance, project_ids: Collection[int]) -> int:
+    """Exact total cost of a list, tuple or set of project ids; 0 if empty."""
+    return sum(instance.costs[p] for p in _project_ids(project_ids, instance.m))
 
 
-def total_cost(instance: Instance, project_ids: Iterable[int]) -> int:
-    """Exact total cost of a set of projects; 0 for the empty set."""
-    return sum(instance.costs[p] for p in _checked_ids(instance, project_ids))
-
-
-def make_budget(instance: Instance, project_ids: Iterable[int]) -> Budget:
-    """Build a budget over ``instance``, computing its total cost."""
-    ids = _checked_ids(instance, project_ids)
+def make_budget(instance: Instance, project_ids: Collection[int]) -> Budget:
+    """Build a budget over ``instance`` from a list, tuple or set of project
+    ids, computing its total cost."""
+    ids = _project_ids(project_ids, instance.m)
     return Budget(ids, sum(instance.costs[p] for p in ids))
 
 
 def is_feasible(instance: Instance, budget: Budget) -> bool:
     """True iff the budget's total cost stays within the instance limit."""
-    _checked_ids(instance, budget.selected)
+    _project_ids(budget.selected, instance.m)
     return budget.total_cost <= instance.limit
 
 
@@ -265,52 +295,41 @@ def instance_to_dict(instance: Instance) -> dict:
     return data
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
+def json_object(
+    data: object, what: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()
+) -> dict:
+    """``data`` if it is a JSON object with every required key and no key
+    outside required and optional; ValidationError otherwise."""
+    if type(data) is not dict:
+        raise ValidationError(f"{what} JSON must be an object")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValidationError(f"{what} JSON needs {', '.join(map(repr, missing))}")
+    unknown = [key for key in data if key not in required and key not in optional]
+    if unknown:
+        raise ValidationError(f"{what} JSON has unknown keys {', '.join(map(repr, unknown))}")
+    return data
 
 
 def instance_from_dict(data: object) -> Instance:
     """Parse the instance JSON object; raises ValidationError on bad shape."""
-    _expect(isinstance(data, dict), "instance JSON must be an object")
-    assert isinstance(data, dict)
-    _expect("limit" in data, "instance JSON needs a 'limit' field")
-    _expect("projects" in data, "instance JSON needs a 'projects' field")
-    _expect("ballots" in data, "instance JSON needs a 'ballots' field")
-    raw_projects = data["projects"]
-    _expect(isinstance(raw_projects, list), "'projects' must be a list")
-    projects = []
-    for entry in raw_projects:
-        _expect(
-            isinstance(entry, dict) and "id" in entry and "cost" in entry,
-            "each project needs 'id' and 'cost'",
-        )
-        _expect(
-            type(entry["id"]) is int and type(entry["cost"]) is int,
-            "project ids and costs must be integers",
-        )
-        projects.append(Project(entry["id"], entry["cost"]))
-    raw_ballots = data["ballots"]
-    _expect(isinstance(raw_ballots, list), "'ballots' must be a list of lists")
-    ballots = []
-    for i, entry in enumerate(raw_ballots):
-        _expect(isinstance(entry, list), f"ballot {i} must be a list of project ids")
-        try:
-            ballot = frozenset(entry)
-        except TypeError:  # a nested list or object; ids are checked per element later
-            raise ValidationError(f"ballot {i} must be a list of project ids") from None
-        _expect(len(entry) == len(ballot), f"ballot {i} repeats a project id")
-        ballots.append(ballot)
-    rankings = None
-    if data.get("rankings") is not None:
-        raw_rankings = data["rankings"]
-        _expect(isinstance(raw_rankings, list), "'rankings' must be a list of lists")
-        for i, entry in enumerate(raw_rankings):
-            _expect(isinstance(entry, list), f"ranking {i} must be a list of project ids")
-        rankings = tuple(tuple(r) for r in raw_rankings)
-    allow_zero = data.get("allow_zero_cost", False)
-    _expect(isinstance(allow_zero, bool), "'allow_zero_cost' must be a boolean")
-    return Instance(tuple(projects), tuple(ballots), data["limit"], rankings, allow_zero)
+    data = json_object(
+        data, "instance", ("limit", "projects", "ballots"), ("rankings", "allow_zero_cost")
+    )
+    projects = data["projects"]
+    if type(projects) is list:  # anything else is left for Instance to reject
+        projects = [Project(**json_object(p, "project", ("id", "cost"))) for p in projects]
+    instance = Instance(
+        projects,
+        data["ballots"],
+        data["limit"],
+        data.get("rankings"),
+        data.get("allow_zero_cost", False),
+    )
+    for i, (entry, ballot) in enumerate(zip(data["ballots"], instance.ballots)):
+        if len(entry) != len(ballot):
+            raise ValidationError(f"ballot {i} repeats a project id")
+    return instance
 
 
 def budget_to_dict(budget: Budget) -> dict:
@@ -322,19 +341,13 @@ def budget_from_dict(instance: Instance, data: object) -> Budget:
 
     A present 'total_cost' must agree with the recomputed sum.
     """
-    _expect(isinstance(data, dict), "budget JSON must be an object")
-    assert isinstance(data, dict)
-    _expect("selected" in data, "budget JSON needs a 'selected' field")
-    raw = data["selected"]
-    _expect(
-        isinstance(raw, list) and all(type(p) is int for p in raw),
-        "'selected' must be a list of project ids",
-    )
-    _expect(len(raw) == len(set(raw)), "'selected' repeats a project id")
-    budget = make_budget(instance, raw)
-    if "total_cost" in data and data["total_cost"] != budget.total_cost:
+    data = json_object(data, "budget", ("selected",), ("total_cost",))
+    budget = make_budget(instance, data["selected"])
+    if len(data["selected"]) != len(budget.selected):
+        raise ValidationError("'selected' repeats a project id")
+    stated = data.get("total_cost", budget.total_cost)
+    if type(stated) is not int or stated != budget.total_cost:
         raise ValidationError(
-            f"stated total_cost {data['total_cost']} does not match "
-            f"recomputed {budget.total_cost}"
+            f"stated total_cost {stated!r} does not match recomputed {budget.total_cost}"
         )
     return budget

@@ -9,9 +9,9 @@ identical instance stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .core import Instance, Project, ValidationError
+from .core import Instance, Project, ValidationError, as_tuple, json_object
 
 UNIT = "unit"
 UNIFORM = "uniform"
@@ -63,31 +63,30 @@ class CultureConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_range", tuple(self.n_range))
-        object.__setattr__(self, "m_range", tuple(self.m_range))
-        n_lo, n_hi = self.n_range
-        m_lo, m_hi = self.m_range
-        if not (type(n_lo) is int and type(n_hi) is int and 1 <= n_lo <= n_hi):
-            raise ValidationError("n_range must be a non-empty positive interval")
-        if not (type(m_lo) is int and type(m_hi) is int and 3 <= m_lo <= m_hi):
-            raise ValidationError("m_range must be a non-empty interval with lower bound >= 3")
+        for key, lowest in (("n_range", 1), ("m_range", 3)):
+            interval = as_tuple(getattr(self, key), key)
+            if not (
+                len(interval) == 2 and type(interval[0]) is int and type(interval[1]) is int
+                and lowest <= interval[0] <= interval[1]
+            ):
+                raise ValidationError(f"{key} must be a pair of integers {lowest} <= lo <= hi")
+            object.__setattr__(self, key, interval)
         if self.cost_model not in (UNIT, UNIFORM):
             raise ValidationError(f"unknown cost model {self.cost_model!r}")
-        if self.cost_model == UNIFORM and not (
-            type(self.cost_min) is int and type(self.cost_max) is int
-            and 1 <= self.cost_min <= self.cost_max
-        ):
-            raise ValidationError("uniform costs need integers 1 <= cost_min <= cost_max")
+        if type(self.cost_min) is not int or type(self.cost_max) is not int:
+            raise ValidationError("cost_min and cost_max must be integers")
+        if self.cost_model == UNIFORM and not 1 <= self.cost_min <= self.cost_max:
+            raise ValidationError("uniform costs need 1 <= cost_min <= cost_max")
         if self.limit_model not in (COMMITTEE, BUDGET):
             raise ValidationError(f"unknown limit model {self.limit_model!r}")
         if self.limit_model == COMMITTEE and self.cost_model != UNIT:
             raise ValidationError("the committee limit model requires unit costs")
         if self.ballot_model not in (PREFIX, BERNOULLI):
             raise ValidationError(f"unknown ballot model {self.ballot_model!r}")
-        if self.ballot_model == BERNOULLI and not (
-            type(self.approval_prob) in (int, float) and 0 < self.approval_prob <= 1
-        ):
-            raise ValidationError("approval_prob must be a number in (0, 1]")
+        if type(self.approval_prob) not in (int, float):
+            raise ValidationError("approval_prob must be a number")
+        if self.ballot_model == BERNOULLI and not 0 < self.approval_prob <= 1:
+            raise ValidationError("approval_prob must be in (0, 1] for bernoulli ballots")
         if type(self.master_seed) is not int:
             raise ValidationError("master_seed must be an integer")
 
@@ -145,44 +144,10 @@ def general_case_culture(master_seed: int = 0) -> CultureConfig:
     )
 
 
-_CONFIG_FIELDS = {
-    "n_range",
-    "m_range",
-    "cost_model",
-    "cost_min",
-    "cost_max",
-    "limit_model",
-    "ballot_model",
-    "approval_prob",
-    "master_seed",
-}
-
-
 def culture_config_to_dict(config: CultureConfig) -> dict:
-    return {
-        "n_range": list(config.n_range),
-        "m_range": list(config.m_range),
-        "cost_model": config.cost_model,
-        "cost_min": config.cost_min,
-        "cost_max": config.cost_max,
-        "limit_model": config.limit_model,
-        "ballot_model": config.ballot_model,
-        "approval_prob": config.approval_prob,
-        "master_seed": config.master_seed,
-    }
+    return {**asdict(config), "n_range": list(config.n_range), "m_range": list(config.m_range)}
 
 
 def culture_config_from_dict(data: object) -> CultureConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("culture config JSON must be an object")
-    unknown = set(data) - _CONFIG_FIELDS
-    if unknown:
-        raise ValidationError(f"unknown culture config fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("n_range", "m_range"):
-        if key in kwargs:
-            value = kwargs[key]
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ValidationError(f"{key} must be a two-element interval")
-            kwargs[key] = (value[0], value[1])
-    return CultureConfig(**kwargs)
+    names = tuple(field.name for field in fields(CultureConfig))
+    return CultureConfig(**json_object(data, "culture config", optional=names))

@@ -22,7 +22,14 @@ from functools import partial
 from pathlib import Path
 
 from .axioms import AXIOMS, UJR, check_axiom
-from .core import ContractError, ValidationError, budget_to_dict, instance_to_dict
+from .core import (
+    ContractError,
+    ValidationError,
+    as_tuple,
+    budget_to_dict,
+    instance_to_dict,
+    json_object,
+)
 from .culture import (
     PREFIX,
     UNIT,
@@ -42,6 +49,8 @@ PLOT_HEADER = ("trial_count", "rule", "probability")
 
 # A case name becomes part of plot_<case>.csv, a CSV field and --replay CASE:TRIAL.
 _CASE_NAME = re.compile(r"[A-Za-z0-9_-]+")
+# A probability as _format_probability writes it: plain decimal digits, no sign or exponent.
+_PERCENT = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 def _check_case_name(name: object) -> None:
@@ -56,8 +65,10 @@ class CaseConfig:
     culture: CultureConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
         _check_case_name(self.name)
+        object.__setattr__(self, "rules", as_tuple(self.rules, f"case {self.name!r} rules"))
+        if not isinstance(self.culture, CultureConfig):
+            raise ValidationError(f"case {self.name!r} culture must be a CultureConfig")
         if not self.rules:
             raise ValidationError(f"case {self.name!r} needs at least one rule")
         for name in self.rules:
@@ -83,8 +94,8 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trial_counts", tuple(self.trial_counts))
-        object.__setattr__(self, "cases", tuple(self.cases))
+        object.__setattr__(self, "trial_counts", as_tuple(self.trial_counts, "trial_counts"))
+        object.__setattr__(self, "cases", as_tuple(self.cases, "cases"))
         if not self.trial_counts:
             raise ValidationError("trial_counts must not be empty")
         for count in self.trial_counts:
@@ -94,6 +105,8 @@ class ExperimentConfig:
             raise ValidationError("trial_counts repeats a value")
         if not self.cases:
             raise ValidationError("at least one case is required")
+        if not all(isinstance(case, CaseConfig) for case in self.cases):
+            raise ValidationError("every case must be a CaseConfig")
         names = [case.name for case in self.cases]
         if len(set(names)) != len(names):
             raise ValidationError("case names must be unique")
@@ -101,6 +114,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown axiom {self.axiom!r}")
         if type(self.master_seed) is not int:
             raise ValidationError("master_seed must be an integer")
+        if type(self.record_timing) is not bool:
+            raise ValidationError("record_timing must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -282,7 +297,10 @@ def emit_plot_data(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
 
 
 def results_from_csv(path: Path | str) -> ExperimentResult:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = tuple(next(reader))
@@ -299,9 +317,12 @@ def results_from_csv(path: Path | str) -> ExperimentResult:
             _check_case_name(case)
             count = int(count_s)
             elapsed = int(elapsed_s)
-            Decimal(prob)
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
+        if count < 1 or elapsed < 0:
+            raise ValidationError(f"line {lineno}: needs trial_count >= 1 and elapsed_ms >= 0")
+        if not (_PERCENT.fullmatch(prob) and Decimal(prob) <= 100):
+            raise ValidationError(f"line {lineno}: probability {prob!r} is not a percentage in [0, 100]")
         rows.append(ResultRow(count, case, rule, prob, elapsed))
     return ExperimentResult(tuple(rows))
 
@@ -326,32 +347,15 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(data: object) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("experiment config JSON must be an object")
-    unknown = set(data) - {"trial_counts", "axiom", "master_seed", "record_timing", "cases"}
-    if unknown:
-        raise ValidationError(f"unknown experiment config fields: {sorted(unknown)}")
-    if "trial_counts" not in data or "cases" not in data:
-        raise ValidationError("experiment config needs 'trial_counts' and 'cases'")
-    if not isinstance(data["trial_counts"], list):
-        raise ValidationError("'trial_counts' must be a list")
-    if not isinstance(data["cases"], list):
-        raise ValidationError("'cases' must be a list")
-    cases = []
-    for entry in data["cases"]:
-        if not isinstance(entry, dict) or "name" not in entry or "rules" not in entry:
-            raise ValidationError("each case needs 'name' and 'rules'")
-        if not isinstance(entry["rules"], list):
-            raise ValidationError("case 'rules' must be a list")
-        culture = culture_config_from_dict(entry.get("culture", {}))
-        cases.append(CaseConfig(entry["name"], tuple(entry["rules"]), culture))
-    record_timing = data.get("record_timing", False)
-    if not isinstance(record_timing, bool):
-        raise ValidationError("'record_timing' must be a boolean")
-    return ExperimentConfig(
-        trial_counts=tuple(data["trial_counts"]),
-        cases=tuple(cases),
-        axiom=data.get("axiom", UJR),
-        master_seed=data.get("master_seed", 0),
-        record_timing=record_timing,
+    data = json_object(
+        data, "experiment config", ("trial_counts", "cases"), ("axiom", "master_seed", "record_timing")
     )
+    cases = data["cases"]
+    if type(cases) is list:  # anything else is left for ExperimentConfig to reject
+        cases = [_case_from_dict(entry) for entry in cases]
+    return ExperimentConfig(**{**data, "cases": cases})
+
+
+def _case_from_dict(data: object) -> CaseConfig:
+    data = json_object(data, "case", ("name", "rules"), ("culture",))
+    return CaseConfig(data["name"], data["rules"], culture_config_from_dict(data.get("culture", {})))

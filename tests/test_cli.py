@@ -221,41 +221,63 @@ def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
 
 I_A = instance_to_dict(make_instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2))
 
+# Each command that reads a JSON file, with that file as {a} and its output as {out}.
+JSON_READERS = {
+    "run-rule": ["run-rule", "--rule", "sccr", "--instance", "{a}", "--out", "{out}"],
+    "check-axiom": [
+        "check-axiom", "--axiom", "ujr", "--instance", "{a}", "--budget", "{a}", "--out", "{out}",
+    ],
+    "gen": ["gen", "--config", "{a}", "--trial", "0", "--out", "{out}"],
+    "experiment": ["experiment", "--config", "{a}", "--out-dir", "{out}"],
+}
+# Files that json cannot read: not UTF-8, nested past the recursion limit, an
+# integer past the digit limit of int().
+UNREADABLE_JSON = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "long-int": b'{"limit": ' + b"9" * 5000 + b"}",
+}
+MALFORMED = {
+    "ballot-of-lists": (
+        JSON_READERS["run-rule"], {"a": {**I_A, "ballots": [[[0]]]}},
+    ),
+    "project-id-string": (
+        JSON_READERS["run-rule"],
+        {"a": {**I_A, "projects": [{"id": 0, "cost": 1}, {"id": "a", "cost": 1}]}},
+    ),
+    "ranking-of-lists": (
+        JSON_READERS["run-rule"], {"a": {**I_A, "rankings": [[[0], 1, 2]] * 4}},
+    ),
+    "selected-of-lists": (
+        ["check-axiom", "--axiom", "ujr", "--instance", "{a}", "--budget", "{b}", "--out", "{out}"],
+        {"a": I_A, "b": {"selected": [[0]]}},
+    ),
+    "cost-min-string": (
+        JSON_READERS["gen"],
+        {"a": {"cost_model": "uniform", "limit_model": "budget", "cost_min": "a"}},
+    ),
+    "approval-prob-string": (
+        JSON_READERS["gen"], {"a": {"ballot_model": "bernoulli", "approval_prob": "x"}},
+    ),
+    **{
+        f"{command}-{name}": (argv, {"a": raw})
+        for command, argv in JSON_READERS.items()
+        for name, raw in UNREADABLE_JSON.items()
+    },
+    "plot-data-not-utf8": (
+        ["plot-data", "--results", "{a}", "--out-dir", "{out}"],
+        {"a": b"trial_count,case,rule,probability_pct,elapsed_ms\n5,a,sccr,\xff,0\n"},
+    ),
+}
 
-@pytest.mark.parametrize(
-    "argv, inputs",
-    [
-        (["run-rule", "--rule", "sccr", "--instance", "{a}"], {"a": {**I_A, "ballots": [[[0]]]}}),
-        (
-            ["run-rule", "--rule", "sccr", "--instance", "{a}"],
-            {"a": {**I_A, "projects": [{"id": 0, "cost": 1}, {"id": "a", "cost": 1}]}},
-        ),
-        (
-            ["run-rule", "--rule", "sccr", "--instance", "{a}"],
-            {"a": {**I_A, "rankings": [[[0], 1, 2]] * 4}},
-        ),
-        (
-            ["check-axiom", "--axiom", "ujr", "--instance", "{a}", "--budget", "{b}"],
-            {"a": I_A, "b": {"selected": [[0]]}},
-        ),
-        (
-            ["gen", "--config", "{a}", "--trial", "0"],
-            {"a": {"cost_model": "uniform", "limit_model": "budget", "cost_min": "a"}},
-        ),
-        (
-            ["gen", "--config", "{a}", "--trial", "0"],
-            {"a": {"ballot_model": "bernoulli", "approval_prob": "x"}},
-        ),
-    ],
-    ids=[
-        "ballot-of-lists", "project-id-string", "ranking-of-lists",
-        "selected-of-lists", "cost-min-string", "approval-prob-string",
-    ],
-)
+
+@pytest.mark.parametrize("argv, inputs", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_values_exit_1_with_one_error_line(argv, inputs, tmp_path, capsys):
-    paths = {key: write_json(tmp_path / f"{key}.json", data) for key, data in inputs.items()}
-    out = tmp_path / "out.json"
-    code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    paths = {}
+    for key, data in inputs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+    code = main([arg.format(out=tmp_path / "out", **paths) for arg in argv])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid-input:")
@@ -329,10 +351,23 @@ def test_experiment_rejects_workers_below_one(workers, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("case", ["a:b", "a/b"])
-def test_plot_data_rejects_unsafe_case_names(case, tmp_path, capsys):
+# Unsafe case names, then impossible counts, times and probabilities.
+BAD_ROWS = {
+    "a:b": "5,a:b,sccr,40.00,0",
+    "a/b": "5,a/b,sccr,40.00,0",
+    "count-zero": "0,a,sccr,40.00,0",
+    "elapsed-negative": "5,a,sccr,40.00,-1",
+    **{
+        f"probability-{prob}": f"5,a,sccr,{prob},0"
+        for prob in ("NaN", "sNaN", "Infinity", "-5", "100.01", "1e1")
+    },
+}
+
+
+@pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_plot_data_rejects_unsafe_case_names(row, tmp_path, capsys):
     results = tmp_path / "results.csv"
-    results.write_text(f"trial_count,case,rule,probability_pct,elapsed_ms\n5,{case},sccr,40.00,0\n")
+    results.write_text(f"trial_count,case,rule,probability_pct,elapsed_ms\n{row}\n")
     out_dir = tmp_path / "plots"
     assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid-input:")

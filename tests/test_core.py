@@ -233,8 +233,9 @@ def test_budget_json_round_trip(i_a):
 
 
 def test_budget_json_rejects_wrong_total(i_a):
-    with pytest.raises(ValidationError):
-        budget_from_dict(i_a, {"selected": [0], "total_cost": 9})
+    for stated in (9, True, 1.0, "1"):
+        with pytest.raises(ValidationError):
+            budget_from_dict(i_a, {"selected": [0], "total_cost": stated})
 
 
 def test_budget_json_rejects_duplicates(i_a):
