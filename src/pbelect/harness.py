@@ -154,19 +154,21 @@ def default_experiment_config(
 
 
 def _evaluate_trial(
-    case: CaseConfig, axiom: str, record_timing: bool, trial: int
-) -> tuple[int, dict[str, bool], dict[str, int]]:
+    axiom: str, record_timing: bool, job: tuple[CaseConfig, int]
+) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """Verdict and nanoseconds of each of the case's rules, in its rule order."""
+    case, trial = job
     try:
         instance = generate(case.culture, trial)
-        verdicts: dict[str, bool] = {}
-        nanos: dict[str, int] = {}
+        verdicts: list[bool] = []
+        nanos: list[int] = []
         for rule in case.rules:
             started = time.perf_counter_ns() if record_timing else 0
             budget = RULES[rule].run(instance)[0]
             report = check_axiom(instance, budget, axiom)
-            nanos[rule] = time.perf_counter_ns() - started if record_timing else 0
-            verdicts[rule] = report.satisfied
-        return trial, verdicts, nanos
+            nanos.append(time.perf_counter_ns() - started if record_timing else 0)
+            verdicts.append(report.satisfied)
+        return tuple(verdicts), tuple(nanos)
     except (ValidationError, ContractError) as exc:
         raise ContractError(
             f"case {case.name!r} trial {trial} "
@@ -192,27 +194,26 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     counts = sorted(config.trial_counts)
     max_trials = counts[-1]
-    per_case: dict[str, tuple[CaseConfig, dict[str, list[bool]], dict[str, list[int]]]] = {}
-    for case in config.cases:
-        effective = replace(case, culture=replace(case.culture, master_seed=config.master_seed))
-        job = partial(_evaluate_trial, effective, config.axiom, config.record_timing)
-        if workers is not None and workers > 1:
-            chunk = max(1, max_trials // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                evaluated = list(pool.map(job, range(max_trials), chunksize=chunk))
-        else:
-            evaluated = [job(t) for t in range(max_trials)]
-        evaluated.sort(key=lambda item: item[0])
-        verdicts = {rule: [e[1][rule] for e in evaluated] for rule in case.rules}
-        nanos = {rule: [e[2][rule] for e in evaluated] for rule in case.rules}
-        per_case[case.name] = (effective, verdicts, nanos)
+    cases = [
+        replace(case, culture=replace(case.culture, master_seed=config.master_seed))
+        for case in config.cases
+    ]
+    jobs = ((case, trial) for case in cases for trial in range(max_trials))
+    job = partial(_evaluate_trial, config.axiom, config.record_timing)
+    if workers is not None and workers > 1:
+        # one pool for every case; map returns results in job order
+        chunk = max(1, len(cases) * max_trials // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            evaluated = list(pool.map(job, jobs, chunksize=chunk))
+    else:
+        evaluated = list(map(job, jobs))
     rows: list[ResultRow] = []
     for count in counts:
-        for case in config.cases:
-            _, verdicts, nanos = per_case[case.name]
-            for rule in case.rules:
-                satisfied = sum(verdicts[rule][:count])
-                elapsed_ms = sum(nanos[rule][:count]) // 1_000_000
+        for index, case in enumerate(cases):
+            prefix = evaluated[index * max_trials : index * max_trials + count]
+            for r, rule in enumerate(case.rules):
+                satisfied = sum(verdicts[r] for verdicts, _ in prefix)
+                elapsed_ms = sum(nanos[r] for _, nanos in prefix) // 1_000_000
                 rows.append(
                     ResultRow(count, case.name, rule, _format_probability(satisfied, count), elapsed_ms)
                 )
@@ -309,6 +310,7 @@ def results_from_csv(path: Path | str) -> ExperimentResult:
     if header != RESULTS_HEADER:
         raise ValidationError(f"unexpected results CSV header {header!r}")
     rows = []
+    seen: set[tuple[int, str, str]] = set()
     for lineno, record in enumerate(reader, start=2):
         if len(record) != len(RESULTS_HEADER):
             raise ValidationError(f"line {lineno}: expected {len(RESULTS_HEADER)} fields")
@@ -323,6 +325,11 @@ def results_from_csv(path: Path | str) -> ExperimentResult:
             raise ValidationError(f"line {lineno}: needs trial_count >= 1 and elapsed_ms >= 0")
         if not (_PERCENT.fullmatch(prob) and Decimal(prob) <= 100):
             raise ValidationError(f"line {lineno}: probability {prob!r} is not a percentage in [0, 100]")
+        if rule not in RULES:
+            raise ValidationError(f"line {lineno}: unknown rule {rule!r}; expected one of {tuple(RULES)}")
+        if (count, case, rule) in seen:
+            raise ValidationError(f"line {lineno}: repeats the row for ({count}, {case}, {rule})")
+        seen.add((count, case, rule))
         rows.append(ResultRow(count, case, rule, prob, elapsed))
     return ExperimentResult(tuple(rows))
 

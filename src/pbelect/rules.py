@@ -14,9 +14,11 @@ instances therefore always produce identical budgets and traces.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
 from .core import (
     Assignment,
@@ -222,6 +224,39 @@ def _assignment_entries(
     return tuple(entries)
 
 
+def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
+    """Per project, every voter's score for it, indexed by voter id."""
+    voters = range(instance.n)
+    return [[_voter_score(instance, mode, p, v) for v in voters] for p in range(instance.m)]
+
+
+def _best_small_budget(
+    instance: Instance, mode: str, k: int, capacity: int
+) -> tuple[int, ...]:
+    """The ids ``_best_budget_of_size`` picks for k <= 2 on an equal-cost instance.
+
+    Every size-k budget fits, so none is skipped. A pair's best total depends
+    only on the sorted score differences, so the keyed assignment is left to
+    the caller, for the winning pair alone. Ties go to the first budget in
+    ``itertools.combinations`` order, as there.
+    """
+    scores = _score_vectors(instance, mode)
+    totals = [sum(vector) for vector in scores]
+    if k == 1:
+        return (max(range(instance.m), key=totals.__getitem__),)
+    n = instance.n
+    lo, hi = max(0, n - capacity), min(capacity, n)
+    best: tuple[int, ...] = ()
+    best_total = -1
+    for a, b in itertools.combinations(range(instance.m), 2):
+        diffs = sorted(map(operator.sub, scores[a], scores[b]), reverse=True)
+        prefix = itertools.accumulate(diffs, initial=0)
+        total = totals[b] + max(itertools.islice(prefix, lo, hi + 1))
+        if total > best_total:
+            best, best_total = (a, b), total
+    return best
+
+
 def seq_monroe(
     instance: Instance, mode: ScoringMode = APPROVAL
 ) -> tuple[Budget, Assignment, RuleTrace]:
@@ -232,38 +267,52 @@ def seq_monroe(
     unassigned voters, funds the best project, and assigns exactly those
     voters to it (fewer if fewer remain). For k <= 2 the enumerated optimum
     replaces the greedy and the returned assignment is exactly optimal.
+
+    Under approval scoring a project's top voters are its unassigned approvers
+    and then other unassigned voters, each in ascending id order, so its score
+    is min(capacity, unassigned approvers). Under borda scoring each project's
+    voter order is sorted once per instance and filtered each round.
     """
     _check_mode(instance, mode)
     k = committee_size(instance)
     cap = -(-instance.n // k)
     if k <= 2:
-        ids, rep, _ = _best_budget_of_size(instance, mode, k, cap)
+        ids = _best_small_budget(instance, mode, k, cap)
+        rep, _ = _best_assignment(instance, mode, ids, cap)
         entries = _assignment_entries(instance, mode, ids, rep)
         return make_budget(instance, ids), Assignment(rep, cap), RuleTrace("smr", entries)
 
-    unassigned = set(range(instance.n))
+    n = instance.n
+    approvers = instance.approvers
+    if mode == BORDA:
+        scores = _score_vectors(instance, mode)
+        # sort is stable, so voters tied on a score stay in ascending id order
+        orders = [sorted(range(n), key=lambda v, s=s: -s[v]) for s in scores]
+    unassigned = set(range(n))
+    remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
     rep: dict[int, int] = {}
-    chosen: set[int] = set()
     entries = []
     for iteration in range(1, k + 1):
-        best = -1
-        best_total = -1
-        best_top: list[int] = []
-        for p in range(instance.m):
-            if p in chosen:
-                continue
-            ranked = sorted(
-                unassigned, key=lambda v: (-_voter_score(instance, mode, p, v), v)
-            )
-            top = ranked[:cap]
-            total = sum(_voter_score(instance, mode, p, v) for v in top)
-            if total > best_total:
-                best, best_total, best_top = p, total, top
-        entries.append(TraceEntry(iteration, best, best_total, frozenset(best_top)))
-        chosen.add(best)
-        for v in best_top:
+        if mode == APPROVAL:
+            best = max(remaining, key=lambda p: min(cap, len(approvers[p] & unassigned)))
+            top = sorted(approvers[best] & unassigned)[:cap]
+            total = len(top)
+            if total < cap:
+                top += sorted(unassigned - approvers[best])[: cap - total]
+        else:
+            tops = {
+                p: list(itertools.islice((v for v in orders[p] if v in unassigned), cap))
+                for p in remaining
+            }
+            totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
+            best = max(remaining, key=totals.__getitem__)
+            top, total = tops[best], totals[best]
+        entries.append(TraceEntry(iteration, best, total, frozenset(top)))
+        remaining.remove(best)
+        for v in top:
             rep[v] = best
-        unassigned.difference_update(best_top)
+        unassigned.difference_update(top)
+    chosen = [entry.project for entry in entries]
     return make_budget(instance, chosen), Assignment(rep, cap), RuleTrace("smr", tuple(entries))
 
 
@@ -293,8 +342,14 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
     by (support - quota) / support; failing that, the candidate with least
     support is eliminated. Elected and eliminated candidates disappear from
     all rankings.
+
+    Arithmetic is exact and integer: voter v's weight is ``num[v] / den`` over
+    one shared denominator kept in lowest terms, so supports are int sums and
+    the quota test is ``support * qd >= qn * den`` for quota ``qn / qd``. Only
+    the supporters of a removed candidate move on to their next choice.
     """
-    if instance.rankings is None:
+    rankings = instance.rankings
+    if rankings is None:
         raise ConfigurationError("stv requires rankings on the instance")
     if type(k) is not int or k < 1:
         raise ValidationError("k must be a positive integer")
@@ -302,47 +357,57 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
         raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
     n = instance.n
     q = _quota_value(n, k, quota)
-    weights = [Fraction(1)] * n
+    qn, qd = q.numerator, q.denominator
+    num = [1] * n
+    den = 1
     pointer = [0] * n
     active = set(range(instance.m))
+    support = dict.fromkeys(active, 0)  # numerators over den
+    supporters: dict[int, list[int]] = {c: [] for c in active}
+    moving: Iterable[int] = range(n)  # voters whose top active candidate is unknown
     elected: list[int] = []
     entries: list[TraceEntry] = []
-    iteration = 0
     while len(elected) < k:
-        support: dict[int, Fraction] = {c: Fraction(0) for c in active}
-        supporters: dict[int, list[int]] = {c: [] for c in active}
-        for v in range(n):
-            ranking = instance.rankings[v]
-            while ranking[pointer[v]] not in active:
-                pointer[v] += 1
-            top = ranking[pointer[v]]
-            support[top] += weights[v]
-            supporters[top].append(v)
+        for v in moving:
+            ranking = rankings[v]
+            i = pointer[v]
+            while ranking[i] not in active:
+                i += 1
+            pointer[v] = i
+            support[ranking[i]] += num[v]
+            supporters[ranking[i]].append(v)
         if len(elected) + len(active) == k:
             for c in sorted(active):
-                iteration += 1
-                entries.append(
-                    TraceEntry(iteration, c, support[c], frozenset(supporters[c]))
-                )
+                score = Fraction(support[c], den)
+                entries.append(TraceEntry(len(entries) + 1, c, score, frozenset(supporters[c])))
                 elected.append(c)
-            active.clear()
             break
-        reaching = [c for c in active if support[c] >= q]
-        if reaching:
-            winner = min(reaching, key=lambda c: (-support[c], c))
-            total = support[winner]
-            factor = (total - q) / total
-            for v in supporters[winner]:
-                weights[v] *= factor
-            iteration += 1
-            entries.append(
-                TraceEntry(iteration, winner, total, frozenset(supporters[winner]))
-            )
+        winner = max(active, key=lambda c: (support[c], -c))
+        total = support[winner]
+        if total * qd >= qn * den:
             active.remove(winner)
+            del support[winner]
+            moving = supporters.pop(winner)
+            entries.append(
+                TraceEntry(len(entries) + 1, winner, Fraction(total, den), frozenset(moving))
+            )
             elected.append(winner)
+            scale = total * qd
+            keep = scale - qn * den
+            kept = [num[v] * keep for v in moving]
+            num = [w * scale for w in num]
+            for v, w in zip(moving, kept):
+                num[v] = w
+            den *= scale
+            g = math.gcd(den, *num)
+            num = [w // g for w in num]
+            den //= g
+            support = {c: s * scale // g for c, s in support.items()}
         else:
             loser = min(active, key=lambda c: (support[c], -c))
             active.remove(loser)
+            del support[loser]
+            moving = supporters.pop(loser)
     budget = make_budget(instance, elected)
     if not is_feasible(instance, budget):
         raise ContractError(

@@ -7,6 +7,7 @@ experiment (master seed 0, trial counts 100..5000).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -60,6 +61,24 @@ def full_run():
     result = run_experiment(config)
     elapsed = time.monotonic() - started
     return config, result, elapsed
+
+
+# sha256 of the seed-0 default study outputs, recorded at commit 1864ef0.
+SEED0_DIGESTS = {
+    "results.csv": "fcc69354a444b1ab041d1e5822ea91fd9b1b250bd40d19954c9cf3c3f5bbcab1",
+    "plot_equal.csv": "34273a2a16697f004bd4760bc9a00d9086315968b01f56dde87e38eacfb23fb1",
+    "plot_general.csv": "4c2f74ff9decc30e5c52d7ff22bdd7a0361acaca3bcf822a6b43dd5ed14f61d7",
+}
+
+
+def test_seed0_study_bytes_match_recorded_digests(full_run, tmp_path):
+    _, result, _ = full_run
+    write_results_csv(result, tmp_path / "results.csv")
+    emit_plot_data(result, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SEED0_DIGESTS
+    }
+    assert digests == SEED0_DIGESTS
 
 
 def test_criterion_1_equal_valued_rates_and_runtime(full_run):

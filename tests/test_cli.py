@@ -361,6 +361,9 @@ BAD_ROWS = {
         f"probability-{prob}": f"5,a,sccr,{prob},0"
         for prob in ("NaN", "sNaN", "Infinity", "-5", "100.01", "1e1")
     },
+    "rule-empty": "5,a,,40.00,0",
+    "rule-unknown": "5,a,borda,40.00,0",
+    "row-repeated": "5,a,sccr,40.00,0\n5,a,sccr,60.00,0",
 }
 
 

@@ -8,6 +8,7 @@ from decimal import Decimal
 
 import pytest
 
+from pbelect import harness
 from pbelect.core import ContractError, ValidationError
 from pbelect.culture import BERNOULLI, CultureConfig, UNIFORM, equal_valued_culture
 from pbelect.harness import (
@@ -198,6 +199,27 @@ def test_worker_count_never_changes_output(tmp_path):
     plots_b = emit_plot_data(parallel, tmp_path / "pb")
     for pa, pb in zip(plots_a, plots_b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_three_workers_give_the_serial_rows():
+    config = small_config()
+    assert run_experiment(config, workers=3) == run_experiment(config)
+
+
+@pytest.mark.parametrize("workers, pools", [(None, 0), (1, 0), (2, 1)])
+def test_one_pool_for_the_whole_study_and_none_when_serial(workers, pools, monkeypatch):
+    created = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    config = small_config(trial_counts=(5,))
+    assert len(config.cases) == 2
+    run_experiment(config, workers=workers)
+    assert len(created) == pools
 
 
 def test_timing_mode_fills_elapsed():
