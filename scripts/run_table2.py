@@ -13,6 +13,7 @@ from pathlib import Path
 
 from pbelect.core import ValidationError
 from pbelect.harness import (
+    PAPER_TRIAL_COUNTS,
     default_experiment_config,
     emit_plot_data,
     run_experiment,
@@ -26,19 +27,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--workers", type=int, default=None, help="parallel worker processes (N >= 1)")
     parser.add_argument(
-        "--counts", type=int, nargs="+", default=None,
+        "--counts", type=int, nargs="+", default=PAPER_TRIAL_COUNTS,
         help="trial counts (default: 100 300 500 1000 3000 5000)",
     )
     args = parser.parse_args()
 
-    if args.counts is None:
-        config = default_experiment_config(master_seed=args.seed)
-    else:
-        config = default_experiment_config(
-            master_seed=args.seed, trial_counts=tuple(args.counts)
-        )
     started = time.monotonic()
     try:
+        config = default_experiment_config(args.seed, tuple(args.counts))
         result = run_experiment(config, workers=args.workers)
     except ValidationError as exc:
         parser.error(str(exc))

@@ -6,14 +6,11 @@ from .core import (
     ConfigurationError,
     ContractError,
     Instance,
-    Project,
     ValidationError,
     coverage,
     is_exhaustive,
     is_feasible,
     make_budget,
-    make_instance,
-    total_cost,
     voter_satisfied,
 )
 from .rules import (

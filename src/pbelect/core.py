@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Collection, Mapping
 
 
 class ValidationError(ValueError):
@@ -53,26 +54,19 @@ def _ids_error(voter: int | None, problem: str) -> ValidationError:
 
 
 @dataclass(frozen=True)
-class Project:
-    """A fundable project: dense integer id plus non-negative integer cost."""
-
-    id: int
-    cost: int
-
-
-@dataclass(frozen=True)
 class Instance:
     """One participatory-budgeting election.
 
-    ``ballots[i]`` is voter ``i``'s approval set. ``rankings``, when present,
-    holds one full preference order per voter, most preferred first. Project
-    ids are dense (exactly 0..m-1). Zero-cost projects are rejected unless
-    ``allow_zero_cost`` is set; empty approval ballots are always rejected.
-    Every field is checked here; lists are accepted and stored as tuples and
-    frozensets, and anything malformed raises ValidationError.
+    A project is its index ``p`` and costs ``costs[p]``. ``ballots[i]`` is
+    voter ``i``'s approval set. ``rankings``, when present, holds one full
+    preference order per voter, most preferred first. Zero-cost projects are
+    rejected unless ``allow_zero_cost`` is set; empty approval ballots are
+    always rejected. Every field is checked here; lists are accepted and
+    stored as tuples and frozensets, and anything malformed raises
+    ValidationError.
     """
 
-    projects: tuple[Project, ...]
+    costs: tuple[int, ...]
     ballots: tuple[frozenset[int], ...]
     limit: int
     rankings: tuple[tuple[int, ...], ...] | None = None
@@ -81,26 +75,23 @@ class Instance:
     def __post_init__(self) -> None:
         if type(self.allow_zero_cost) is not bool:
             raise ValidationError("allow_zero_cost must be a boolean")
-        projects = as_tuple(self.projects, "projects")
-        if not projects:
+        costs = as_tuple(self.costs, "costs")
+        if not costs:
             raise ValidationError("an instance needs at least one project")
-        for p in projects:
-            if type(p) is not Project or type(p.id) is not int or type(p.cost) is not int:
-                raise ValidationError("projects must be Projects with integer ids and costs")
-            if p.cost < 0:
-                raise ValidationError(f"project {p.id} has negative cost {p.cost}")
-            if p.cost == 0 and not self.allow_zero_cost:
+        for p, cost in enumerate(costs):
+            if type(cost) is not int:
+                raise ValidationError(f"project {p} has non-integer cost {cost!r}")
+            if cost < 0:
+                raise ValidationError(f"project {p} has negative cost {cost}")
+            if cost == 0 and not self.allow_zero_cost:
                 raise ValidationError(
-                    f"project {p.id} has zero cost; set allow_zero_cost to permit this"
+                    f"project {p} has zero cost; set allow_zero_cost to permit this"
                 )
-        projects = tuple(sorted(projects, key=lambda p: p.id))
-        m = len(projects)
-        if [p.id for p in projects] != list(range(m)):
-            raise ValidationError("project ids must be exactly 0..m-1 without duplicates")
-        object.__setattr__(self, "projects", projects)
+        object.__setattr__(self, "costs", costs)
+        m = len(costs)
         if type(self.limit) is not int or self.limit <= 0:
             raise ValidationError("limit must be a positive integer")
-        max_cost = max(p.cost for p in projects)
+        max_cost = max(costs)
         if self.limit < max_cost:
             raise ValidationError(
                 f"limit {self.limit} is below the most expensive project ({max_cost})"
@@ -134,6 +125,9 @@ class Instance:
             if not permutation:
                 raise ValidationError(f"voter {v}'s ranking is not a permutation of all project ids")
             checked.append(tuple(ranking))
+        # true and 1.0 equal 1 in the set test; one pass over all entries rejects them
+        if not set(map(type, chain.from_iterable(checked))) <= {int}:
+            raise ValidationError("rankings must list project ids as integers")
         object.__setattr__(self, "rankings", tuple(checked))
 
     @property
@@ -142,11 +136,7 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.projects)
-
-    @cached_property
-    def costs(self) -> tuple[int, ...]:
-        return tuple(p.cost for p in self.projects)
+        return len(self.costs)
 
     @cached_property
     def approvers(self) -> tuple[frozenset[int], ...]:
@@ -183,32 +173,6 @@ class Assignment:
 
     rep: Mapping[int, int]
     capacity: int
-
-
-def make_instance(
-    costs: Iterable[int],
-    ballots: Iterable[Collection[int]],
-    limit: int,
-    rankings: Iterable[Sequence[int]] | None = None,
-    allow_zero_cost: bool = False,
-) -> Instance:
-    """Build an instance from a plain cost list; project ``i`` costs ``costs[i]``.
-
-    Each ballot is a list, tuple or set of ids and each ranking a list or tuple.
-    """
-    projects = tuple(Project(i, c) for i, c in enumerate(costs))
-    return Instance(
-        projects,
-        tuple(ballots),
-        limit,
-        rankings=None if rankings is None else tuple(rankings),
-        allow_zero_cost=allow_zero_cost,
-    )
-
-
-def total_cost(instance: Instance, project_ids: Collection[int]) -> int:
-    """Exact total cost of a list, tuple or set of project ids; 0 if empty."""
-    return sum(instance.costs[p] for p in _project_ids(project_ids, instance.m))
 
 
 def make_budget(instance: Instance, project_ids: Collection[int]) -> Budget:
@@ -285,7 +249,7 @@ def validate_assignment(
 def instance_to_dict(instance: Instance) -> dict:
     data: dict = {
         "limit": instance.limit,
-        "projects": [{"id": p.id, "cost": p.cost} for p in instance.projects],
+        "projects": [{"id": p, "cost": cost} for p, cost in enumerate(instance.costs)],
         "ballots": [sorted(b) for b in instance.ballots],
     }
     if instance.rankings is not None:
@@ -316,11 +280,14 @@ def instance_from_dict(data: object) -> Instance:
     data = json_object(
         data, "instance", ("limit", "projects", "ballots"), ("rankings", "allow_zero_cost")
     )
-    projects = data["projects"]
-    if type(projects) is list:  # anything else is left for Instance to reject
-        projects = [Project(**json_object(p, "project", ("id", "cost"))) for p in projects]
+    projects = as_tuple(data["projects"], "projects")
+    entries = [json_object(entry, "project", ("id", "cost")) for entry in projects]
+    ids = [entry["id"] for entry in entries]
+    # types first: sorting equates true and 1.0 with 1
+    if not all(type(p) is int for p in ids) or sorted(ids) != list(range(len(ids))):
+        raise ValidationError("project ids must be exactly 0..m-1 without duplicates")
     instance = Instance(
-        projects,
+        [entry["cost"] for entry in sorted(entries, key=lambda entry: entry["id"])],
         data["ballots"],
         data["limit"],
         data.get("rankings"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, fields
 
-from .core import Instance, Project, ValidationError, as_tuple, json_object
+from .core import Instance, ValidationError, as_tuple, json_object
 
 UNIT = "unit"
 UNIFORM = "uniform"
@@ -93,6 +93,8 @@ class CultureConfig:
 
 def generate(config: CultureConfig, trial_index: int) -> Instance:
     """Draw one instance for the given trial; always passes core validation."""
+    if type(trial_index) is not int or trial_index < 0:
+        raise ValidationError("trial index must be a non-negative integer")
     rng = random.Random(derive_trial_seed(config.master_seed, trial_index))
     n = rng.randint(*config.n_range)
     m = rng.randint(*config.m_range)
@@ -124,8 +126,7 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
                     p for p in range(m) if rng.random() < config.approval_prob
                 )
             ballots.append(approved)
-    projects = tuple(Project(i, c) for i, c in enumerate(costs))
-    return Instance(projects, tuple(ballots), limit, None if rankings is None else tuple(rankings))
+    return Instance(tuple(costs), tuple(ballots), limit, None if rankings is None else tuple(rankings))
 
 
 def equal_valued_culture(master_seed: int = 0) -> CultureConfig:

@@ -85,7 +85,7 @@ class CaseConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full study description; master_seed overrides every case's culture seed."""
+    """Full study description; master_seed replaces every case's culture seed."""
 
     trial_counts: tuple[int, ...]
     cases: tuple[CaseConfig, ...]
@@ -107,13 +107,17 @@ class ExperimentConfig:
             raise ValidationError("at least one case is required")
         if not all(isinstance(case, CaseConfig) for case in self.cases):
             raise ValidationError("every case must be a CaseConfig")
+        if type(self.master_seed) is not int:
+            raise ValidationError("master_seed must be an integer")
+        object.__setattr__(self, "cases", tuple(
+            replace(case, culture=replace(case.culture, master_seed=self.master_seed))
+            for case in self.cases
+        ))
         names = [case.name for case in self.cases]
         if len(set(names)) != len(names):
             raise ValidationError("case names must be unique")
         if self.axiom not in AXIOMS:
             raise ValidationError(f"unknown axiom {self.axiom!r}")
-        if type(self.master_seed) is not int:
-            raise ValidationError("master_seed must be an integer")
         if type(self.record_timing) is not bool:
             raise ValidationError("record_timing must be a boolean")
 
@@ -194,22 +198,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     counts = sorted(config.trial_counts)
     max_trials = counts[-1]
-    cases = [
-        replace(case, culture=replace(case.culture, master_seed=config.master_seed))
-        for case in config.cases
-    ]
-    jobs = ((case, trial) for case in cases for trial in range(max_trials))
+    jobs = ((case, trial) for case in config.cases for trial in range(max_trials))
     job = partial(_evaluate_trial, config.axiom, config.record_timing)
     if workers is not None and workers > 1:
         # one pool for every case; map returns results in job order
-        chunk = max(1, len(cases) * max_trials // (workers * 8))
+        chunk = max(1, len(config.cases) * max_trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             evaluated = list(pool.map(job, jobs, chunksize=chunk))
     else:
         evaluated = list(map(job, jobs))
     rows: list[ResultRow] = []
     for count in counts:
-        for index, case in enumerate(cases):
+        for index, case in enumerate(config.cases):
             prefix = evaluated[index * max_trials : index * max_trials + count]
             for r, rule in enumerate(case.rules):
                 satisfied = sum(verdicts[r] for verdicts, _ in prefix)
@@ -227,9 +227,7 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
             break
     else:
         raise ValidationError(f"config has no case named {case_name!r}")
-    if type(trial) is not int or trial < 0:
-        raise ValidationError("trial index must be a non-negative integer")
-    instance = generate(replace(case.culture, master_seed=config.master_seed), trial)
+    instance = generate(case.culture, trial)
     results = {}
     for rule in case.rules:
         budget = RULES[rule].run(instance)[0]

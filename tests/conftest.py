@@ -6,31 +6,31 @@ import random
 
 import pytest
 
-from pbelect.core import Instance, make_budget, make_instance
+from pbelect.core import Instance, make_budget
 
 
 @pytest.fixture
 def i_a() -> Instance:
     """4 voters approving {p0},{p0},{p1},{p2}; unit costs; limit 2."""
-    return make_instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2)
+    return Instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2)
 
 
 @pytest.fixture
 def i_b() -> Instance:
     """3 voters approving {p0},{p0},{p1,p2}; costs 5,3,3; limit 6."""
-    return make_instance([5, 3, 3], [{0}, {0}, {1, 2}], 6)
+    return Instance([5, 3, 3], [{0}, {0}, {1, 2}], 6)
 
 
 @pytest.fixture
 def i_c() -> Instance:
     """4 voters approving {p0},{p0},{p1},{p1}; unit costs; limit 2."""
-    return make_instance([1, 1], [{0}, {0}, {1}, {1}], 2)
+    return Instance([1, 1], [{0}, {0}, {1}, {1}], 2)
 
 
 @pytest.fixture
 def i_d() -> Instance:
     """Ranked variant of i_a: full rankings for an STV committee of 2."""
-    return make_instance(
+    return Instance(
         [1, 1, 1],
         [{0}, {0}, {1}, {2}],
         2,
@@ -41,7 +41,7 @@ def i_d() -> Instance:
 @pytest.fixture
 def i_e() -> Instance:
     """4 voters approving {p0},{p0},{p1},{p1}; 4 unit-cost projects; limit 2."""
-    return make_instance([1, 1, 1, 1], [{0}, {0}, {1}, {1}], 2)
+    return Instance([1, 1, 1, 1], [{0}, {0}, {1}, {1}], 2)
 
 
 def random_unit_instance(
@@ -62,7 +62,7 @@ def random_unit_instance(
         ballots = [
             frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)
         ]
-    return make_instance([1] * m, ballots, limit, rankings=rankings)
+    return Instance([1] * m, ballots, limit, rankings=rankings)
 
 
 def random_costed_instance(
@@ -74,7 +74,7 @@ def random_costed_instance(
     costs = [rng.randint(1, max_cost) for _ in range(m)]
     limit = rng.randint(max(costs), sum(costs))
     ballots = [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
-    return make_instance(costs, ballots, limit)
+    return Instance(costs, ballots, limit)
 
 
 def random_feasible_budget(rng: random.Random, instance: Instance):

@@ -18,11 +18,11 @@ import pytest
 
 from pbelect.axioms import STRONG_BJR, UJR, check_strong_bjr, check_ujr, naive_axiom_oracle, verify_witness
 from pbelect.core import (
+    Instance,
     coverage,
     is_exhaustive,
     is_feasible,
     make_budget,
-    make_instance,
     validate_assignment,
 )
 from pbelect.culture import CultureConfig, UNIFORM, generate
@@ -170,7 +170,7 @@ def test_criterion_5_greedy_bound_and_small_k_optimality():
         ballots = [
             frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)
         ]
-        instance = make_instance([1] * m, ballots, limit)
+        instance = Instance([1] * m, ballots, limit)
         greedy, _ = seq_chamberlin_courant(instance)
         _, optimum = brute_force_cc_optimal(instance)
         if coverage(instance, greedy) < bound * optimum - 1e-9:
@@ -264,7 +264,7 @@ def test_criterion_8_hand_traced_fixtures():
     failures: list[str] = []
 
     # I_A: coverage greedy picks p0 then p1 (tie with p2 broken to lowest id).
-    i_a = make_instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2)
+    i_a = Instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2)
     budget, _ = seq_chamberlin_courant(i_a)
     if sorted(budget.selected) != [0, 1] or coverage(i_a, budget) != 3:
         failures.append("I_A")
@@ -272,7 +272,7 @@ def test_criterion_8_hand_traced_fixtures():
         failures.append("I_A oracle")
 
     # I_B: after the popular 5-cost project, slack 1 fits nothing.
-    i_b = make_instance([5, 3, 3], [{0}, {0}, {1, 2}], 6)
+    i_b = Instance([5, 3, 3], [{0}, {0}, {1, 2}], 6)
     budget, _ = seq_chamberlin_courant(i_b)
     if sorted(budget.selected) != [0] or coverage(i_b, budget) != 2:
         failures.append("I_B")
@@ -281,7 +281,7 @@ def test_criterion_8_hand_traced_fixtures():
         failures.append("I_B oracle")
 
     # I_C: both projects funded, each representing its two approvers.
-    i_c = make_instance([1, 1], [{0}, {0}, {1}, {1}], 2)
+    i_c = Instance([1, 1], [{0}, {0}, {1}, {1}], 2)
     budget, assignment, _ = seq_monroe(i_c)
     if sorted(budget.selected) != [0, 1] or dict(assignment.rep) != {0: 0, 1: 0, 2: 1, 3: 1}:
         failures.append("I_C")
@@ -289,7 +289,7 @@ def test_criterion_8_hand_traced_fixtures():
         failures.append("I_C oracle")
 
     # I_D: p0 elected at quota 2, p2 eliminated on the high-id tie-break.
-    i_d = make_instance(
+    i_d = Instance(
         [1, 1, 1], [{0}, {0}, {1}, {2}], 2,
         rankings=[(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)],
     )
@@ -298,7 +298,7 @@ def test_criterion_8_hand_traced_fixtures():
         failures.append("I_D")
 
     # I_E: the deprived pair approving p0 certifies the violation.
-    i_e = make_instance([1, 1, 1, 1], [{0}, {0}, {1}, {1}], 2)
+    i_e = Instance([1, 1, 1, 1], [{0}, {0}, {1}, {1}], 2)
     report = check_ujr(i_e, make_budget(i_e, {2, 3}))
     if report.satisfied or report.witness != (0, frozenset({0, 1})):
         failures.append("I_E")

@@ -22,7 +22,6 @@ from pbelect.core import (
     Instance,
     ValidationError,
     make_budget,
-    make_instance,
 )
 
 from conftest import random_costed_instance, random_feasible_budget, random_unit_instance
@@ -31,7 +30,7 @@ from conftest import random_costed_instance, random_feasible_budget, random_unit
 # --- worked examples ---------------------------------------------------------------
 
 def test_ujr_satisfied_when_everyone_covered():
-    inst = make_instance([1, 1, 1], [{0}, {1}, {2}, {0, 2}], 3)
+    inst = Instance([1, 1, 1], [{0}, {1}, {2}, {0, 2}], 3)
     report = check_ujr(inst, make_budget(inst, {0, 1, 2}))
     assert report.satisfied and report.witness is None
 
@@ -44,7 +43,7 @@ def test_ujr_violation_on_i_e(i_e):
 
 def test_ujr_rational_threshold_just_below():
     # n=5, limit=2: a deprived pair fails 2*2 >= 5.
-    inst = make_instance([1, 1, 1], [{0}, {0}, {1}, {1}, {2}], 2)
+    inst = Instance([1, 1, 1], [{0}, {0}, {1}, {1}, {2}], 2)
     report = check_ujr(inst, make_budget(inst, {1, 2}))
     assert report.satisfied
 
@@ -57,7 +56,7 @@ def test_strong_bjr_equals_ujr_with_positive_costs(i_e):
 
 
 def test_strong_bjr_zero_cost_funding_does_not_count():
-    inst = make_instance([1, 0], [{1}, {1}], 1, allow_zero_cost=True)
+    inst = Instance([1, 0], [{1}, {1}], 1, allow_zero_cost=True)
     budget = make_budget(inst, {1})
     assert check_ujr(inst, budget).satisfied
     report = check_strong_bjr(inst, budget)
@@ -83,20 +82,20 @@ def test_oracle_agrees_on_i_e(i_e):
 
 
 def test_oracle_satisfied_when_everyone_covered():
-    inst = make_instance([1, 1, 1], [{0}, {1}, {2}, {0, 2}], 3)
+    inst = Instance([1, 1, 1], [{0}, {1}, {2}, {0, 2}], 3)
     budget = make_budget(inst, {0, 1, 2})
     assert naive_axiom_oracle(inst, budget, UJR).satisfied
 
 
 def test_oracle_singleton_voter_empty_budget():
-    inst = make_instance([1], [{0}], 1)
+    inst = Instance([1], [{0}], 1)
     budget = make_budget(inst, set())
     assert not naive_axiom_oracle(inst, budget, UJR).satisfied
     assert not check_ujr(inst, budget).satisfied
 
 
 def test_oracle_refuses_many_voters():
-    inst = make_instance([1], [{0}] * 17, 1)
+    inst = Instance([1], [{0}] * 17, 1)
     with pytest.raises(ContractError):
         naive_axiom_oracle(inst, make_budget(inst, set()), UJR)
 
@@ -108,7 +107,7 @@ def _zero_cost_instance(rng: random.Random) -> Instance:
     limit = rng.randint(max(costs + [1]), sum(costs) + 2)
     n = rng.randint(1, 8)
     ballots = [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
-    return make_instance(costs, ballots, limit, allow_zero_cost=True)
+    return Instance(costs, ballots, limit, allow_zero_cost=True)
 
 
 def test_checkers_match_oracle_on_random_batches():
@@ -140,7 +139,7 @@ def instance_and_budget(draw):
     ballots = [
         draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m)) for _ in range(n)
     ]
-    inst = make_instance(costs, ballots, limit)
+    inst = Instance(costs, ballots, limit)
     picks = draw(st.sets(st.integers(0, m - 1)))
     chosen: set[int] = set()
     spent = 0
@@ -163,7 +162,7 @@ def test_strong_bjr_implies_ujr(pair):
 @given(instance_and_budget(), st.integers(1, 10))
 def test_raising_limit_never_repairs_a_violation(pair, extra):
     inst, budget = pair
-    relaxed = make_instance(
+    relaxed = Instance(
         list(inst.costs),
         [set(b) for b in inst.ballots],
         inst.limit + extra,

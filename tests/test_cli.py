@@ -12,10 +12,10 @@ import pytest
 from pbelect.cli import _build_parser, main
 from pbelect.core import (
     ContractError,
+    Instance,
     budget_to_dict,
     instance_from_dict,
     instance_to_dict,
-    make_instance,
 )
 from pbelect.culture import culture_config_to_dict, equal_valued_culture
 from pbelect.harness import experiment_config_to_dict
@@ -204,7 +204,7 @@ def test_check_axiom_satisfied_exits_0(tmp_path, i_e, capsys):
 
 
 def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
-    infeasible = make_instance([2, 2], [{0}, {1}], 2)
+    infeasible = Instance([2, 2], [{0}, {1}], 2)
     inst = write_json(tmp_path / "inst.json", instance_to_dict(infeasible))
     budget = write_json(tmp_path / "budget.json", {"selected": [0, 1]})
     out = tmp_path / "report.json"
@@ -219,7 +219,7 @@ def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
 
 # --- malformed input values ------------------------------------------------------------
 
-I_A = instance_to_dict(make_instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2))
+I_A = instance_to_dict(Instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2))
 
 # Each command that reads a JSON file, with that file as {a} and its output as {out}.
 JSON_READERS = {
@@ -230,6 +230,13 @@ JSON_READERS = {
     "gen": ["gen", "--config", "{a}", "--trial", "0", "--out", "{out}"],
     "experiment": ["experiment", "--config", "{a}", "--out-dir", "{out}"],
 }
+
+
+def _project_ids(*ids):
+    """I_A with its three unit-cost projects under the given ids."""
+    return {"a": {**I_A, "projects": [{"id": p, "cost": 1} for p in ids]}}
+
+
 # Files that json cannot read: not UTF-8, nested past the recursion limit, an
 # integer past the digit limit of int().
 UNREADABLE_JSON = {
@@ -248,6 +255,22 @@ MALFORMED = {
     "ranking-of-lists": (
         JSON_READERS["run-rule"], {"a": {**I_A, "rankings": [[[0], 1, 2]] * 4}},
     ),
+    "ranking-bool": (JSON_READERS["run-rule"], {"a": {**I_A, "rankings": [[0, True, 2]] * 4}}),
+    "ranking-float": (JSON_READERS["run-rule"], {"a": {**I_A, "rankings": [[1.0, 0, 2]] * 4}}),
+    **{
+        f"project-id-{name}": (JSON_READERS["run-rule"], _project_ids(*ids))
+        for name, ids in {
+            "true": (0, True, 2),
+            "float": (0, 1.0, 2),
+            "numeric-string": (0, "1", 2),
+            "null": (0, None, 2),
+            "list": (0, [0], 2),
+            "negative": (0, -1, 2),
+            "m": (0, 1, 3),
+            "repeated": (0, 1, 1),
+        }.items()
+    },
+    "gen-trial-negative": (["gen", "--config", "{a}", "--trial", "-3", "--out", "{out}"], {"a": {}}),
     "selected-of-lists": (
         ["check-axiom", "--axiom", "ujr", "--instance", "{a}", "--budget", "{b}", "--out", "{out}"],
         {"a": I_A, "b": {"selected": [[0]]}},

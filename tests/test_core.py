@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pbelect.core import (
     Assignment,
     ContractError,
+    Instance,
     ValidationError,
     budget_from_dict,
     budget_to_dict,
@@ -20,9 +21,7 @@ from pbelect.core import (
     is_exhaustive,
     is_feasible,
     make_budget,
-    make_instance,
     prefix_coherent,
-    total_cost,
     validate_assignment,
     voter_satisfied,
 )
@@ -33,29 +32,29 @@ from conftest import random_costed_instance
 # --- total_cost ---------------------------------------------------------------
 
 def test_total_cost_hand_sum():
-    inst = make_instance([5, 3, 3], [{0}], 6)
-    assert total_cost(inst, {0, 2}) == 8
+    inst = Instance([5, 3, 3], [{0}], 6)
+    assert make_budget(inst, {0, 2}).total_cost == 8
 
 
 def test_total_cost_empty_set_is_zero(i_a):
-    assert total_cost(i_a, set()) == 0
+    assert make_budget(i_a, set()).total_cost == 0
 
 
 def test_total_cost_unit_costs():
-    inst = make_instance([1] * 5, [{0}], 5)
-    assert total_cost(inst, {0, 1, 2, 3}) == 4
+    inst = Instance([1] * 5, [{0}], 5)
+    assert make_budget(inst, {0, 1, 2, 3}).total_cost == 4
 
 
 def test_total_cost_unknown_id(i_a):
     with pytest.raises(ValidationError):
-        total_cost(i_a, {0, 7})
+        make_budget(i_a, {0, 7}).total_cost
 
 
 # --- feasibility ----------------------------------------------------------------
 
 def test_feasible_city_example():
     # Bank, Park, Nursery, School under a 200 limit; School + Park fits.
-    inst = make_instance([80, 90, 150, 100], [{3}, {1}, {3}, {0}], 200)
+    inst = Instance([80, 90, 150, 100], [{3}, {1}, {3}, {0}], 200)
     assert is_feasible(inst, make_budget(inst, {1, 3}))
 
 
@@ -78,7 +77,7 @@ def test_not_exhaustive_when_a_project_fits(i_b):
 
 
 def test_exhaustive_unit_costs_full_limit():
-    inst = make_instance([1] * 4, [{0}], 3)
+    inst = Instance([1] * 4, [{0}], 3)
     assert is_exhaustive(inst, make_budget(inst, {0, 1, 2}))
 
 
@@ -112,72 +111,71 @@ def test_coverage_all_projects(i_a):
 
 def test_rejects_empty_ballot():
     with pytest.raises(ValidationError):
-        make_instance([1, 1], [{0}, set()], 2)
+        Instance([1, 1], [{0}, set()], 2)
 
 
 def test_rejects_zero_cost_without_flag():
     with pytest.raises(ValidationError):
-        make_instance([1, 0], [{0}], 1)
+        Instance([1, 0], [{0}], 1)
 
 
 def test_zero_cost_allowed_with_flag():
-    inst = make_instance([1, 0], [{0}], 1, allow_zero_cost=True)
+    inst = Instance([1, 0], [{0}], 1, allow_zero_cost=True)
     assert inst.costs == (1, 0)
 
 
 def test_rejects_negative_cost():
     with pytest.raises(ValidationError):
-        make_instance([1, -2], [{0}], 2)
+        Instance([1, -2], [{0}], 2)
 
 
 def test_rejects_limit_below_max_cost():
     with pytest.raises(ValidationError):
-        make_instance([5, 3], [{0}], 4)
+        Instance([5, 3], [{0}], 4)
 
 
 def test_rejects_nonpositive_limit():
     with pytest.raises(ValidationError):
-        make_instance([1], [{0}], 0)
+        Instance([1], [{0}], 0)
 
 
 def test_rejects_unknown_ballot_id():
     with pytest.raises(ValidationError):
-        make_instance([1, 1], [{0, 5}], 2)
+        Instance([1, 1], [{0, 5}], 2)
 
 
 def test_rejects_no_projects():
     with pytest.raises(ValidationError):
-        make_instance([], [{0}], 1)
+        Instance([], [{0}], 1)
 
 
 def test_rejects_no_voters():
     with pytest.raises(ValidationError):
-        make_instance([1], [], 1)
+        Instance([1], [], 1)
 
 
 def test_rejects_short_rankings():
     with pytest.raises(ValidationError):
-        make_instance([1, 1], [{0}, {1}], 2, rankings=[(0, 1)])
+        Instance([1, 1], [{0}, {1}], 2, rankings=[(0, 1)])
 
 
 def test_rejects_non_permutation_ranking():
     with pytest.raises(ValidationError):
-        make_instance([1, 1], [{0}], 2, rankings=[(0, 0)])
+        Instance([1, 1], [{0}], 2, rankings=[(0, 0)])
 
 
 def test_rejects_duplicate_project_ids():
-    from pbelect.core import Instance, Project
-
+    data = {"limit": 1, "projects": [{"id": 0, "cost": 1}, {"id": 0, "cost": 1}], "ballots": [[0]]}
     with pytest.raises(ValidationError):
-        Instance((Project(0, 1), Project(0, 1)), (frozenset({0}),), 1)
+        instance_from_dict(data)
 
 
 def test_prefix_coherence_detection():
-    inst = make_instance(
+    inst = Instance(
         [1, 1, 1], [{1}, {0, 2}], 2, rankings=[(1, 0, 2), (2, 0, 1)]
     )
     assert prefix_coherent(inst)
-    askew = make_instance([1, 1, 1], [{0}], 2, rankings=[(1, 0, 2)])
+    askew = Instance([1, 1, 1], [{0}], 2, rankings=[(1, 0, 2)])
     assert not prefix_coherent(askew)
 
 
@@ -259,7 +257,7 @@ def cost_instances(draw):
         draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
         for _ in range(n)
     ]
-    return make_instance(costs, ballots, limit)
+    return Instance(costs, ballots, limit)
 
 
 @settings(max_examples=80, deadline=None)
@@ -267,7 +265,7 @@ def cost_instances(draw):
 def test_total_cost_monotone_under_inclusion(inst, data):
     subset = data.draw(st.sets(st.integers(0, inst.m - 1)))
     superset = subset | data.draw(st.sets(st.integers(0, inst.m - 1)))
-    assert total_cost(inst, subset) <= total_cost(inst, superset)
+    assert make_budget(inst, subset).total_cost <= make_budget(inst, superset).total_cost
 
 
 @settings(max_examples=80, deadline=None)

@@ -49,6 +49,12 @@ def test_generate_is_pure_in_config_and_trial():
     assert generate(config, 41) != generate(config, 42)
 
 
+@pytest.mark.parametrize("trial", [1.5, "3", -1, True], ids=["float", "string", "negative", "bool"])
+def test_generate_rejects_a_trial_index_no_study_has(trial):
+    with pytest.raises(ValidationError, match="trial index"):
+        generate(equal_valued_culture(), trial)
+
+
 def test_unit_model_invariants():
     config = equal_valued_culture(master_seed=3)
     for trial in range(10_000):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import os
 import stat
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
 from pbelect import harness
-from pbelect.core import ContractError, ValidationError
-from pbelect.culture import BERNOULLI, CultureConfig, UNIFORM, equal_valued_culture
+from pbelect.core import ContractError, ValidationError, instance_to_dict
+from pbelect.culture import BERNOULLI, CultureConfig, UNIFORM, equal_valued_culture, generate
 from pbelect.harness import (
     CaseConfig,
     ExperimentConfig,
@@ -234,6 +235,18 @@ def test_master_seed_changes_general_outcomes():
         result = run_experiment(small_config(master_seed=seed, trial_counts=(12,)))
         probs.add(result.probability("general", "sccr", 12))
     assert len(probs) > 1
+
+
+def test_master_seed_is_every_case_culture_seed():
+    stray = CaseConfig("stray", ("sccr",), CultureConfig(master_seed=99))
+    config = ExperimentConfig((5,), (stray,), master_seed=3)
+    assert config.cases[0].culture.master_seed == 3
+    assert experiment_config_to_dict(config)["cases"][0]["culture"]["master_seed"] == 3
+    reseeded = replace(config, master_seed=4)
+    assert reseeded.cases[0].culture.master_seed == 4
+    assert replay_trial(reseeded, "stray", 2)["instance"] == instance_to_dict(
+        generate(CultureConfig(master_seed=4), 2)
+    )
 
 
 def test_replay_unknown_case():

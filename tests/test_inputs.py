@@ -21,13 +21,11 @@ from hypothesis import strategies as st
 from pbelect.cli import main
 from pbelect.core import (
     Instance,
-    Project,
     ValidationError,
     budget_from_dict,
     instance_from_dict,
     instance_to_dict,
     make_budget,
-    make_instance,
 )
 from pbelect.culture import CultureConfig, culture_config_from_dict
 from pbelect.harness import (
@@ -40,7 +38,7 @@ from test_harness import small_config
 
 CULTURE = CultureConfig()
 CASE = CaseConfig("a", ("sccr",), CULTURE)
-ONE = make_instance([1, 1], [{0}, {1}], 1)
+ONE = Instance([1, 1], [{0}, {1}], 1)
 
 CONSTRUCTOR_PROBES = {
     "n-range-int": lambda: CultureConfig(n_range=5),
@@ -48,16 +46,18 @@ CONSTRUCTOR_PROBES = {
     "m-range-string": lambda: CultureConfig(m_range="35"),
     "cost-min-string-unit": lambda: CultureConfig(cost_min="a"),
     "approval-prob-string-prefix": lambda: CultureConfig(approval_prob="x"),
-    "project-id-string": lambda: Instance((Project(0, 1), Project("a", 1)), ({0},), 1),
+    "cost-string": lambda: Instance((1, "a"), ({0},), 1),
     "project-not-project": lambda: Instance(({"id": 0, "cost": 1},), ({0},), 1),
     "projects-int": lambda: Instance(5, ({0},), 1),
-    "ballot-of-lists": lambda: Instance((Project(0, 1),), ([[0]],), 1),
-    "ballot-int": lambda: Instance((Project(0, 1),), (0,), 1),
-    "ballot-string": lambda: Instance((Project(0, 1),), ("0",), 1),
-    "ballots-set": lambda: Instance((Project(0, 1),), {frozenset({0})}, 1),
-    "rankings-int": lambda: Instance((Project(0, 1),), ({0},), 1, rankings=5),
-    "ranking-of-lists": lambda: Instance((Project(0, 1),), ({0},), 1, rankings=([[0]],)),
-    "allow-zero-cost-string": lambda: Instance((Project(0, 1),), ({0},), 1, allow_zero_cost="yes"),
+    "ballot-of-lists": lambda: Instance((1,), ([[0]],), 1),
+    "ballot-int": lambda: Instance((1,), (0,), 1),
+    "ballot-string": lambda: Instance((1,), ("0",), 1),
+    "ballots-set": lambda: Instance((1,), {frozenset({0})}, 1),
+    "rankings-int": lambda: Instance((1,), ({0},), 1, rankings=5),
+    "ranking-of-lists": lambda: Instance((1,), ({0},), 1, rankings=([[0]],)),
+    "ranking-bool": lambda: Instance((1, 1, 1), ({0},), 1, rankings=([0, True, 2],)),
+    "ranking-float": lambda: Instance((1, 1, 1), ({0},), 1, rankings=([1.0, 0, 2],)),
+    "allow-zero-cost-string": lambda: Instance((1,), ({0},), 1, allow_zero_cost="yes"),
     "budget-int": lambda: make_budget(ONE, 5),
     "budget-of-lists": lambda: make_budget(ONE, [[0]]),
     "budget-bool": lambda: make_budget(ONE, [True]),

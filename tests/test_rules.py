@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from pbelect.core import (
     ConfigurationError,
     ContractError,
+    Instance,
     ValidationError,
     coverage,
     is_exhaustive,
     is_feasible,
-    make_instance,
     validate_assignment,
 )
 from pbelect.rules import (
@@ -59,20 +59,20 @@ def test_sccr_i_b_stops_when_nothing_fits(i_b):
 
 
 def test_sccr_single_project():
-    inst = make_instance([3], [{0}, {0}], 5)
+    inst = Instance([3], [{0}, {0}], 5)
     budget, _ = seq_chamberlin_courant(inst)
     assert budget.selected == frozenset({0})
 
 
 def test_sccr_keeps_filling_after_everyone_satisfied():
-    inst = make_instance([1, 1, 1], [{0, 1, 2}, {0, 1, 2}], 2)
+    inst = Instance([1, 1, 1], [{0, 1, 2}, {0, 1, 2}], 2)
     budget, trace = seq_chamberlin_courant(inst)
     assert sorted(budget.selected) == [0, 1]  # second pick scores 0, lowest id
     assert trace.entries[1].score == 0
 
 
 def test_sccr_borda_scoring():
-    inst = make_instance(
+    inst = Instance(
         [1, 1, 1], [{0}, {1}], 1, rankings=[(0, 1, 2), (1, 0, 2)]
     )
     budget, trace = seq_chamberlin_courant(inst, BORDA)
@@ -95,14 +95,14 @@ def test_smr_i_c_exact_pair(i_c):
 
 
 def test_smr_single_consensus_project():
-    inst = make_instance([1, 1, 1], [{0}] * 5, 1)
+    inst = Instance([1, 1, 1], [{0}] * 5, 1)
     budget, assignment, _ = seq_monroe(inst)
     assert budget.selected == frozenset({0})
     assert dict(assignment.rep) == {v: 0 for v in range(5)}
 
 
 def test_smr_k2_enumeration_example():
-    inst = make_instance([1, 1, 1], [{0, 1}, {0}, {1}, {2}], 2)
+    inst = Instance([1, 1, 1], [{0, 1}, {0}, {1}, {2}], 2)
     budget, assignment, _ = seq_monroe(inst)
     assert sorted(budget.selected) == [0, 1]
     oracle_budget, _, score = brute_force_monroe_optimal(inst, 2)
@@ -111,7 +111,7 @@ def test_smr_k2_enumeration_example():
 
 
 def test_smr_greedy_path_hand_trace():
-    inst = make_instance(
+    inst = Instance(
         [1, 1, 1, 1], [{0}, {0}, {0}, {1}, {1}, {2}], 3
     )
     budget, assignment, trace = seq_monroe(inst)
@@ -127,7 +127,7 @@ def test_smr_rejects_unequal_costs(i_b):
 
 
 def test_smr_borda_exact_pair():
-    inst = make_instance(
+    inst = Instance(
         [1, 1, 1], [{0}, {1}], 2, rankings=[(0, 1, 2), (1, 2, 0)]
     )
     budget, assignment, _ = seq_monroe(inst, BORDA)
@@ -147,13 +147,13 @@ def test_stv_i_d_hand_trace(i_d):
 
 
 def test_stv_shortcut_on_entry():
-    inst = make_instance([1, 1], [{0}, {1}], 2, rankings=[(0, 1), (1, 0)])
+    inst = Instance([1, 1], [{0}, {1}], 2, rankings=[(0, 1), (1, 0)])
     budget, _ = stv(inst, 2)
     assert sorted(budget.selected) == [0, 1]
 
 
 def test_stv_unanimous_top_with_quota_n():
-    inst = make_instance(
+    inst = Instance(
         [1, 1], [{0}] * 3, 1, rankings=[(0, 1)] * 3
     )
     budget, _ = stv(inst, 1, quota=3)
@@ -162,7 +162,7 @@ def test_stv_unanimous_top_with_quota_n():
 
 def test_stv_hare_vs_droop_paths():
     rankings = [(0, 1)] * 3 + [(1, 0)]
-    inst = make_instance([1, 1], [{0}] * 3 + [{1}], 1, rankings=rankings)
+    inst = Instance([1, 1], [{0}] * 3 + [{1}], 1, rankings=rankings)
     droop_budget, droop_trace = stv(inst, 1, quota="droop")
     hare_budget, _ = stv(inst, 1, quota="hare")
     assert droop_budget.selected == hare_budget.selected == frozenset({0})
@@ -173,7 +173,7 @@ def test_stv_surplus_transfer_changes_outcome():
     # Without the (support - quota) / support rescale, p1 would beat p2.
     rankings = [(0, 1, 2)] * 4 + [(2, 1, 0)] * 2
     ballots = [{0}] * 4 + [{2}] * 2
-    inst = make_instance([1, 1, 1], ballots, 2, rankings=rankings)
+    inst = Instance([1, 1, 1], ballots, 2, rankings=rankings)
     budget, trace = stv(inst, 2)
     assert sorted(budget.selected) == [0, 2]
     assert trace.entries[0].score == Fraction(4)
@@ -222,20 +222,20 @@ def test_cc_oracle_i_b(i_b):
 
 
 def test_cc_oracle_everything_affordable():
-    inst = make_instance([1, 2], [{0}, {1}, {0, 1}], 3)
+    inst = Instance([1, 2], [{0}, {1}, {0, 1}], 3)
     budget, cov = brute_force_cc_optimal(inst)
     assert sorted(budget.selected) == [0, 1]
     assert cov == inst.n
 
 
 def test_cc_oracle_refuses_large_instances():
-    inst = make_instance([1] * 17, [{0}], 1)
+    inst = Instance([1] * 17, [{0}], 1)
     with pytest.raises(ContractError):
         brute_force_cc_optimal(inst)
 
 
 def test_monroe_oracle_k1_is_plurality():
-    inst = make_instance([1, 1, 1], [{1}, {1}, {0}], 1)
+    inst = Instance([1, 1, 1], [{1}, {1}, {0}], 1)
     budget, assignment, score = brute_force_monroe_optimal(inst, 1)
     assert budget.selected == frozenset({1})
     assert score == 2
@@ -255,7 +255,7 @@ def test_monroe_oracle_refuses_k3(i_a):
 def test_monroe_oracle_beats_single_order_greedy():
     # Mixed overlap where filling either project with its own top approvers
     # first strands value; the optimal split still reaches 4.
-    inst = make_instance([1, 1], [{0, 1}, {0, 1}, {0}, {1}], 2)
+    inst = Instance([1, 1], [{0, 1}, {0, 1}, {0}, {1}], 2)
     budget, assignment, score = brute_force_monroe_optimal(inst, 2)
     assert score == 4
     validate_assignment(inst, budget, assignment)
@@ -270,7 +270,7 @@ def test_monroe_oracle_assignment_matches_full_enumeration():
         ballots = [
             frozenset(rng.sample(range(2), rng.randint(1, 2))) for _ in range(n)
         ]
-        inst = make_instance([1, 1], ballots, 2)
+        inst = Instance([1, 1], ballots, 2)
         _, assignment, score = brute_force_monroe_optimal(inst, 2)
         cap = -(-n // 2)
         s0 = [1 if 0 in b else 0 for b in ballots]
@@ -348,14 +348,14 @@ def ranked_instances(draw):
     cutoffs = [draw(st.integers(1, m - 1)) for _ in range(n)]
     ballots = [frozenset(r[:c]) for r, c in zip(rankings, cutoffs)]
     limit = draw(st.integers(1, m))
-    return make_instance([1] * m, ballots, limit, rankings=rankings)
+    return Instance([1] * m, ballots, limit, rankings=rankings)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ranked_instances(), st.data())
 def test_stv_elected_set_is_anonymous(inst, data):
     perm = data.draw(st.permutations(range(inst.n)))
-    shuffled = make_instance(
+    shuffled = Instance(
         list(inst.costs),
         [inst.ballots[v] for v in perm],
         inst.limit,

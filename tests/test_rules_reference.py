@@ -19,9 +19,9 @@ from pbelect.core import (
     Assignment,
     ConfigurationError,
     ContractError,
+    Instance,
     is_feasible,
     make_budget,
-    make_instance,
 )
 from pbelect.rules import (
     APPROVAL,
@@ -188,7 +188,7 @@ def ranked_unit_instances(draw, max_n=30, max_m=8):
     if draw(st.integers(0, 9)) == 0:
         costs[draw(st.integers(0, m - 1))] = unit + 1
     limit = draw(st.integers(max(costs), (m + 1) * unit))
-    return make_instance(costs, ballots, limit, rankings=rankings)
+    return Instance(costs, ballots, limit, rankings=rankings)
 
 
 QUOTAS = st.one_of(
@@ -219,8 +219,8 @@ def test_stv_matches_reference(instance, data):
 def test_reference_covers_both_smr_paths_and_stv_errors():
     """The strategy reaches k <= 2 and k > 2 for smr and the over-committee
     ContractError of stv; a fixed instance of each keeps that visible."""
-    pair = make_instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 2, rankings=[(0, 1, 2, 3)] * 5)
-    greedy = make_instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 3, rankings=[(3, 1, 2, 0)] * 5)
+    pair = Instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 2, rankings=[(0, 1, 2, 3)] * 5)
+    greedy = Instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 3, rankings=[(3, 1, 2, 0)] * 5)
     for instance in (pair, greedy):
         for mode in (APPROVAL, BORDA):
             assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
