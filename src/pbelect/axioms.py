@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Budget, ContractError, Instance, ValidationError, is_feasible
+from .core import Budget, ContractError, Instance, ValidationError, is_feasible, voter_ids
 
 UJR = "ujr"
 STRONG_BJR = "strong-bjr"
@@ -43,27 +43,26 @@ def _check_axiom_name(axiom: str) -> None:
         raise ValidationError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
 
 
-def _represented_flags(instance: Instance, budget: Budget, axiom: str) -> list[bool]:
-    """Per voter: does some approved funded project count as representation?
-
-    Under the stronger axiom only positive-cost funded projects count.
-    """
-    if axiom == STRONG_BJR:
-        funded = frozenset(p for p in budget.selected if instance.costs[p] > 0)
-    else:
-        funded = budget.selected
-    return [not funded.isdisjoint(ballot) for ballot in instance.ballots]
+def _represented(instance: Instance, budget: Budget, axiom: str) -> int:
+    """Bitmask of the voters with some approved funded project that counts as
+    representation. Under the stronger axiom only positive-cost ones count."""
+    masks = instance.approver_masks
+    represented = 0
+    for p in budget.selected:
+        if axiom != STRONG_BJR or instance.costs[p] > 0:
+            represented |= masks[p]
+    return represented
 
 
 def _scan(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
     if not is_feasible(instance, budget):
         raise ContractError("axiom checks require a feasible budget")
-    flags = _represented_flags(instance, budget, axiom)
     n, limit = instance.n, instance.limit
-    for p in range(instance.m):
-        group = frozenset(v for v in instance.approvers[p] if not flags[v])
-        if len(group) * limit >= n:
-            return AxiomReport(axiom, False, (p, group))
+    represented = _represented(instance, budget, axiom)
+    for p, mask in enumerate(instance.approver_masks):
+        group = mask & ~represented
+        if group.bit_count() * limit >= n:
+            return AxiomReport(axiom, False, (p, frozenset(voter_ids(group))))
     return AxiomReport(axiom, True)
 
 
@@ -98,8 +97,8 @@ def naive_axiom_oracle(
         raise ContractError(
             f"oracle capped at {max_voters} voters, instance has {instance.n}"
         )
-    flags = _represented_flags(instance, budget, axiom)
-    deprived = [v for v in range(instance.n) if not flags[v]]
+    represented = _represented(instance, budget, axiom)
+    deprived = [v for v in range(instance.n) if not represented >> v & 1]
     n, limit = instance.n, instance.limit
     min_size = -(-n // limit)
     for size in range(min_size, len(deprived) + 1):
@@ -119,9 +118,9 @@ def verify_witness(instance: Instance, budget: Budget, report: AxiomReport) -> b
     project, group = report.witness
     if not group:
         return False
-    if not all(project in instance.ballots[v] for v in group):
+    if not all(0 <= v < instance.n and project in instance.ballots[v] for v in group):
         return False
     if len(group) * instance.limit < instance.n:
         return False
-    flags = _represented_flags(instance, budget, report.axiom)
-    return not any(flags[v] for v in group)
+    represented = _represented(instance, budget, report.axiom)
+    return not any(represented >> v & 1 for v in group)

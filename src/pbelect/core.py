@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Collection, Mapping
+from itertools import chain, compress, count
+from typing import Collection, Iterator, Mapping
 
 
 class ValidationError(ValueError):
@@ -51,6 +51,66 @@ def _project_ids(value: object, m: int, voter: int | None = None) -> frozenset[i
 def _ids_error(voter: int | None, problem: str) -> ValidationError:
     owner = "a budget" if voter is None else f"voter {voter}'s ballot"
     return ValidationError(f"{owner} {problem}")
+
+
+def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
+    """Every ballot as a non-empty set of ids in 0..m-1; ValidationError naming
+    the first bad voter otherwise.
+
+    A few C-level passes over all voters accept valid ballots. Anything else
+    goes through the per-voter loop, which words the error (or accepts a
+    ballot such as [1, true] that the set reads as {1}).
+    """
+    if all(issubclass(kind, (list, tuple, set, frozenset)) for kind in set(map(type, ballots))):
+        try:  # after the type test: frozenset() would consume any iterable
+            checked = tuple(map(frozenset, ballots))
+        except TypeError:  # an unhashable entry such as [0]
+            checked = ()
+        # entry types over every ballot: the union would keep 1 and drop true
+        if checked and all(checked) and set(map(type, chain.from_iterable(ballots))) <= {int}:
+            ids = frozenset().union(*checked)
+            if min(ids) >= 0 and max(ids) < m:
+                return checked
+    sets = []
+    for v, ballot in enumerate(ballots):
+        ballot = _project_ids(ballot, m, v)
+        if not ballot:
+            raise ValidationError(f"voter {v} has an empty approval ballot")
+        sets.append(ballot)
+    return tuple(sets)
+
+
+def _rankings(rankings: tuple, m: int) -> tuple[tuple[int, ...], ...]:
+    """Every ranking as a tuple permutation of 0..m-1 listing ints; ValidationError
+    naming the first bad voter otherwise. As for ballots, the per-voter loop runs
+    only when the passes over all voters fail."""
+    full = frozenset(range(m))
+    try:  # m entries that together name every id form a permutation
+        permutations = (
+            all(issubclass(kind, (list, tuple)) for kind in set(map(type, rankings)))
+            and set(map(len, rankings)) == {m}
+            and all(map(full.__eq__, map(frozenset, rankings)))
+        )
+    except TypeError:  # an unhashable entry such as [0]
+        permutations = False
+    if not permutations:
+        for v, ranking in enumerate(rankings):
+            try:
+                permutation = (
+                    isinstance(ranking, (list, tuple))
+                    and len(ranking) == m
+                    and frozenset(ranking) == full
+                )
+            except TypeError:
+                permutation = False
+            if not permutation:
+                raise ValidationError(
+                    f"voter {v}'s ranking is not a permutation of all project ids"
+                )
+    # true and 1.0 equal 1 in the set test; one pass over all entries rejects them
+    if not set(map(type, chain.from_iterable(rankings))) <= {int}:
+        raise ValidationError("rankings must list project ids as integers")
+    return tuple(map(tuple, rankings))
 
 
 @dataclass(frozen=True)
@@ -99,36 +159,13 @@ class Instance:
         ballots = as_tuple(self.ballots, "ballots")
         if not ballots:
             raise ValidationError("an instance needs at least one voter")
-        checked = []
-        for v, ballot in enumerate(ballots):
-            ballot = _project_ids(ballot, m, v)
-            if not ballot:
-                raise ValidationError(f"voter {v} has an empty approval ballot")
-            checked.append(ballot)
-        object.__setattr__(self, "ballots", tuple(checked))
+        object.__setattr__(self, "ballots", _ballots(ballots, m))
         if self.rankings is None:
             return
         rankings = as_tuple(self.rankings, "rankings")
         if len(rankings) != len(ballots):
             raise ValidationError("rankings, when given, must cover every voter")
-        full = frozenset(range(m))
-        checked = []
-        for v, ranking in enumerate(rankings):
-            try:  # m entries that together name every id form a permutation
-                permutation = (
-                    isinstance(ranking, (list, tuple))
-                    and len(ranking) == m
-                    and frozenset(ranking) == full
-                )
-            except TypeError:  # an unhashable entry such as [0]
-                permutation = False
-            if not permutation:
-                raise ValidationError(f"voter {v}'s ranking is not a permutation of all project ids")
-            checked.append(tuple(ranking))
-        # true and 1.0 equal 1 in the set test; one pass over all entries rejects them
-        if not set(map(type, chain.from_iterable(checked))) <= {int}:
-            raise ValidationError("rankings must list project ids as integers")
-        object.__setattr__(self, "rankings", tuple(checked))
+        object.__setattr__(self, "rankings", _rankings(rankings, m))
 
     @property
     def n(self) -> int:
@@ -139,13 +176,14 @@ class Instance:
         return len(self.costs)
 
     @cached_property
-    def approvers(self) -> tuple[frozenset[int], ...]:
-        """For each project, the set of voters approving it."""
-        sets: list[set[int]] = [set() for _ in range(self.m)]
+    def approver_masks(self) -> tuple[int, ...]:
+        """For each project, the voters approving it as a bitmask: bit v is voter v."""
+        masks = [0] * self.m
         for v, ballot in enumerate(self.ballots):
+            bit = 1 << v
             for p in ballot:
-                sets[p].add(v)
-        return tuple(frozenset(s) for s in sets)
+                masks[p] |= bit
+        return tuple(masks)
 
     @cached_property
     def positions(self) -> tuple[dict[int, int], ...] | None:
@@ -153,6 +191,11 @@ class Instance:
         if self.rankings is None:
             return None
         return tuple({p: i for i, p in enumerate(r)} for r in self.rankings)
+
+
+def voter_ids(mask: int) -> Iterator[int]:
+    """The voters whose bits are set in a non-negative ``mask``, in ascending order."""
+    return compress(count(), map("1".__eq__, reversed(bin(mask))))
 
 
 @dataclass(frozen=True)

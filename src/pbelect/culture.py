@@ -91,34 +91,79 @@ class CultureConfig:
             raise ValidationError("master_seed must be an integer")
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)`` as CPython draws it: ``getrandbits(k)`` for the
+    width's bit length k, redrawn until it falls below the width."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _prefix_ballots(
+    rng: random.Random, n: int, m: int
+) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+    """n full rankings of the m projects, each with its top t entries approved.
+
+    Each voter's draws are those of ``rng.sample(range(m), m)`` followed by
+    ``rng.randint(1, m - 1)``, inlined: CPython's pool swap, where the i-th
+    pick is ``_randint``'s rejection loop over the m - i entries left, then
+    the cutoff. The stream ends where those calls would leave it.
+    """
+    getrandbits = rng.getrandbits
+    steps = [(width, width.bit_length()) for width in range(m, 0, -1)]
+    ids = list(range(m))
+    cut_width = m - 1
+    cut_bits = cut_width.bit_length()
+    rankings: list[tuple[int, ...]] = []
+    ballots: list[frozenset[int]] = []
+    for _ in range(n):
+        pool = ids.copy()
+        picks: list[int] = []
+        pick = picks.append
+        for width, k in steps:
+            j = getrandbits(k)
+            while j >= width:
+                j = getrandbits(k)
+            pick(pool[j])
+            pool[j] = pool[width - 1]  # the last entry left fills the vacancy
+        cutoff = getrandbits(cut_bits)
+        while cutoff >= cut_width:
+            cutoff = getrandbits(cut_bits)
+        ranking = tuple(picks)
+        rankings.append(ranking)
+        ballots.append(frozenset(ranking[: cutoff + 1]))
+    return rankings, ballots
+
+
 def generate(config: CultureConfig, trial_index: int) -> Instance:
-    """Draw one instance for the given trial; always passes core validation."""
+    """Draw one instance for the given trial; always passes core validation.
+
+    Integers are drawn from ``getrandbits`` as ``randint`` and ``sample``
+    draw them, so an instance depends on the trial seed and MT19937 alone.
+    """
     if type(trial_index) is not int or trial_index < 0:
         raise ValidationError("trial index must be a non-negative integer")
     rng = random.Random(derive_trial_seed(config.master_seed, trial_index))
-    n = rng.randint(*config.n_range)
-    m = rng.randint(*config.m_range)
+    n = _randint(rng, *config.n_range)
+    m = _randint(rng, *config.m_range)
     if config.cost_model == UNIT:
         costs = [1] * m
     else:
-        costs = [rng.randint(config.cost_min, config.cost_max) for _ in range(m)]
+        costs = [_randint(rng, config.cost_min, config.cost_max) for _ in range(m)]
     if config.limit_model == COMMITTEE:
-        limit = rng.randint(2, m - 1)
+        limit = _randint(rng, 2, m - 1)
     else:
         max_cost = max(costs)
         half_total = (sum(costs) + 1) // 2
-        limit = max_cost if half_total < max_cost else rng.randint(max_cost, half_total)
-    rankings: list[tuple[int, ...]] | None
-    ballots: list[frozenset[int]] = []
+        limit = max_cost if half_total < max_cost else _randint(rng, max_cost, half_total)
+    rankings: list[tuple[int, ...]] | None = None
     if config.ballot_model == PREFIX:
-        rankings = []
-        for _ in range(n):
-            ranking = tuple(rng.sample(range(m), m))
-            cutoff = rng.randint(1, m - 1)
-            rankings.append(ranking)
-            ballots.append(frozenset(ranking[:cutoff]))
+        rankings, ballots = _prefix_ballots(rng, n, m)
     else:
-        rankings = None
+        ballots = []
         for _ in range(n):
             approved: frozenset[int] = frozenset()
             while not approved:

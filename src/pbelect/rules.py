@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     is_feasible,
     make_budget,
+    voter_ids,
 )
 
 ScoringMode = Literal["approval", "borda"]
@@ -97,15 +98,6 @@ def _voter_score(instance: Instance, mode: str, project: int, voter: int) -> int
     return instance.m - positions[voter][project]
 
 
-def _set_score(instance: Instance, mode: str, project: int, voters: set[int]) -> int:
-    if mode == APPROVAL:
-        return len(instance.approvers[project] & voters)
-    positions = instance.positions
-    assert positions is not None
-    m = instance.m
-    return sum(m - positions[v][project] for v in voters)
-
-
 # --- coverage greedy ----------------------------------------------------------
 
 def seq_chamberlin_courant(
@@ -117,31 +109,42 @@ def seq_chamberlin_courant(
     remaining budget and funds the one scoring highest over voters with no
     approved funded project yet; those voters then stop counting. The loop
     continues until nothing fits, so the result is feasible and exhaustive.
+    Those voters are a bitmask, so a project's approval score is the popcount
+    of its ``approver_masks`` entry ANDed with it.
     """
     _check_mode(instance, mode)
-    unsatisfied = set(range(instance.n))
+    masks = instance.approver_masks
+    unsatisfied = (1 << instance.n) - 1  # bit v: voter v has no approved funded project
+    m = instance.m
     chosen: set[int] = set()
     spent = 0
     entries: list[TraceEntry] = []
     iteration = 0
     while True:
         slack = instance.limit - spent
+        if mode == BORDA:
+            positions = instance.positions
+            assert positions is not None
+            voters = list(voter_ids(unsatisfied))
         best = -1
         best_score = -1
-        for p in range(instance.m):
+        for p in range(m):
             if p in chosen or instance.costs[p] > slack:
                 continue
-            score = _set_score(instance, mode, p, unsatisfied)
+            if mode == APPROVAL:
+                score = (masks[p] & unsatisfied).bit_count()
+            else:
+                score = sum(m - positions[v][p] for v in voters)
             if score > best_score:
                 best, best_score = p, score
         if best < 0:
             break
         iteration += 1
-        newly = instance.approvers[best] & unsatisfied
-        entries.append(TraceEntry(iteration, best, best_score, frozenset(newly)))
+        newly = masks[best] & unsatisfied
+        entries.append(TraceEntry(iteration, best, best_score, frozenset(voter_ids(newly))))
         chosen.add(best)
         spent += instance.costs[best]
-        unsatisfied -= newly
+        unsatisfied ^= newly
     return make_budget(instance, chosen), RuleTrace("sccr", tuple(entries))
 
 
@@ -268,10 +271,12 @@ def seq_monroe(
     voters to it (fewer if fewer remain). For k <= 2 the enumerated optimum
     replaces the greedy and the returned assignment is exactly optimal.
 
-    Under approval scoring a project's top voters are its unassigned approvers
-    and then other unassigned voters, each in ascending id order, so its score
-    is min(capacity, unassigned approvers). Under borda scoring each project's
-    voter order is sorted once per instance and filtered each round.
+    Unassigned voters are a bitmask. Under approval scoring a project's top
+    voters are its unassigned approvers and then other unassigned voters, each
+    in ascending id order (low bits first), so its score is min(capacity,
+    popcount of its approver mask ANDed with the unassigned one). Under borda
+    scoring each project's voter order is sorted once per instance and filtered
+    each round.
     """
     _check_mode(instance, mode)
     k = committee_size(instance)
@@ -283,25 +288,26 @@ def seq_monroe(
         return make_budget(instance, ids), Assignment(rep, cap), RuleTrace("smr", entries)
 
     n = instance.n
-    approvers = instance.approvers
+    masks = instance.approver_masks
     if mode == BORDA:
         scores = _score_vectors(instance, mode)
         # sort is stable, so voters tied on a score stay in ascending id order
         orders = [sorted(range(n), key=lambda v, s=s: -s[v]) for s in scores]
-    unassigned = set(range(n))
+    unassigned = (1 << n) - 1  # bit v: voter v has no representative yet
     remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
     rep: dict[int, int] = {}
     entries = []
     for iteration in range(1, k + 1):
         if mode == APPROVAL:
-            best = max(remaining, key=lambda p: min(cap, len(approvers[p] & unassigned)))
-            top = sorted(approvers[best] & unassigned)[:cap]
+            best = max(remaining, key=lambda p: min(cap, (masks[p] & unassigned).bit_count()))
+            top = list(itertools.islice(voter_ids(masks[best] & unassigned), cap))
             total = len(top)
             if total < cap:
-                top += sorted(unassigned - approvers[best])[: cap - total]
+                top += itertools.islice(voter_ids(unassigned & ~masks[best]), cap - total)
         else:
+            free = set(voter_ids(unassigned))
             tops = {
-                p: list(itertools.islice((v for v in orders[p] if v in unassigned), cap))
+                p: list(itertools.islice((v for v in orders[p] if v in free), cap))
                 for p in remaining
             }
             totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
@@ -311,7 +317,7 @@ def seq_monroe(
         remaining.remove(best)
         for v in top:
             rep[v] = best
-        unassigned.difference_update(top)
+            unassigned ^= 1 << v
     chosen = [entry.project for entry in entries]
     return make_budget(instance, chosen), Assignment(rep, cap), RuleTrace("smr", tuple(entries))
 
@@ -465,12 +471,7 @@ def brute_force_cc_optimal(
         raise ContractError(
             f"brute force capped at {max_projects} projects, instance has {m}"
         )
-    voter_masks = []
-    for p in range(m):
-        mask = 0
-        for v in instance.approvers[p]:
-            mask |= 1 << v
-        voter_masks.append(mask)
+    voter_masks = instance.approver_masks
     costs = instance.costs
     limit = instance.limit
     best_ids: tuple[int, ...] | None = None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pbelect.core import ValidationError, prefix_coherent
@@ -10,6 +12,8 @@ from pbelect.culture import (
     BUDGET,
     CultureConfig,
     UNIFORM,
+    _prefix_ballots,
+    _randint,
     culture_config_from_dict,
     culture_config_to_dict,
     derive_trial_seed,
@@ -53,6 +57,23 @@ def test_generate_is_pure_in_config_and_trial():
 def test_generate_rejects_a_trial_index_no_study_has(trial):
     with pytest.raises(ValidationError, match="trial index"):
         generate(equal_valued_culture(), trial)
+
+
+@pytest.mark.parametrize("m", [3, 5, 12, 20, 40])
+def test_inlined_draws_match_sample_and_randint(m):
+    """Each voter's ranking and cutoff are what rng.sample(range(m), m) and then
+    rng.randint(1, m - 1) draw, and the stream ends where those calls leave it."""
+    for seed in range(2000):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        rankings, ballots = _prefix_ballots(ours, 2, m)
+        for ranking, ballot in zip(rankings, ballots):
+            expected = tuple(theirs.sample(range(m), m))
+            cutoff = theirs.randint(1, m - 1)
+            assert ranking == expected
+            assert ballot == frozenset(expected[:cutoff])
+        for lo, hi in ((1, m), (m, m), (2, m - 1), (m, 10 * m)):
+            assert _randint(ours, lo, hi) == theirs.randint(lo, hi)
+        assert ours.random() == theirs.random()
 
 
 def test_unit_model_invariants():

@@ -76,6 +76,44 @@ def test_constructors_raise_validation_error(probe):
         probe()
 
 
+VOTER_ERRORS = {
+    "ballot-unknown-id": (([0], {1}, {2}, [7]), None, "voter 3's ballot names unknown project 7"),
+    "ballot-id-m": (([0], [1, 3]), None, "voter 1's ballot names unknown project 3"),
+    "ballot-bool": (([0], {True}), None, "voter 1's ballot names unknown project True"),
+    "ballot-negative": (([0], (1, -1)), None, "voter 1's ballot names unknown project -1"),
+    "ballot-empty": (([0], set(), [9]), None, "voter 1 has an empty approval ballot"),
+    "ballot-of-lists": (([0], [1], [[0]]), None, "voter 2's ballot must be a list of project ids"),
+    "ballot-dict": (([0], {1: 1}), None, "voter 1's ballot must be a list of project ids"),
+    "ballot-int": (([0], 1), None, "voter 1's ballot must be a list of project ids"),
+    "ranking-short": (
+        ([0], [1]), [(0, 1, 2), (0, 1)], "voter 1's ranking is not a permutation of all project ids"
+    ),
+    "ranking-long": (
+        ([0], [1]), [(0, 1, 2), (0, 1, 2, 1)], "voter 1's ranking is not a permutation of all project ids"
+    ),
+    "ranking-repeat": (
+        ([0], [1]), [(0, 1, 2), (0, 1, 1)], "voter 1's ranking is not a permutation of all project ids"
+    ),
+    "ranking-of-lists": (
+        ([0], [1]), [[[0], 1, 2], (0, 1)], "voter 0's ranking is not a permutation of all project ids"
+    ),
+    "ranking-dict": (
+        ([0], [1]), [(0, 1, 2), dict.fromkeys((2, 1, 0))],
+        "voter 1's ranking is not a permutation of all project ids",
+    ),
+    "ranking-bool": (([0], [1]), [(0, 1, 2), (0, True, 2)], "rankings must list project ids as integers"),
+}
+
+
+@pytest.mark.parametrize(
+    "ballots, rankings, message", list(VOTER_ERRORS.values()), ids=list(VOTER_ERRORS)
+)
+def test_instance_errors_name_the_first_bad_voter(ballots, rankings, message):
+    with pytest.raises(ValidationError) as caught:
+        Instance((1, 1, 1), ballots, 1, rankings)
+    assert str(caught.value) == message
+
+
 def _with_unknown_key(parse, data, *path):
     """Add the key "extra" to the object at ``path`` inside ``data``, then parse."""
     target = data

@@ -1,20 +1,25 @@
-"""The fast smr and stv against a short reference version of each.
+"""The fast rules and axiom scan against a short reference version of each.
 
 The reference keeps the straightforward loops: smr re-sorts every unassigned
 voter per project per round and enumerates every size-k budget with its keyed
 assignment for k <= 2; stv keeps one ``Fraction`` weight per voter and re-tallies
-every voter each round. Both rules must return the same budget, trace (exact
-scores included), assignment and error as their reference on every instance.
+every voter each round; sccr and the axiom scan keep each project's approvers
+as a frozenset of voters where the library uses int bitmasks. Each must return
+the same budget, trace (exact scores included), assignment, report and error as
+its reference on every instance, including instances with more voters than one
+machine word holds.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbelect.axioms import AXIOMS, UJR, AxiomReport, check_axiom
 from pbelect.core import (
     Assignment,
     ConfigurationError,
@@ -34,6 +39,7 @@ from pbelect.rules import (
     _quota_value,
     _voter_score,
     committee_size,
+    seq_chamberlin_courant,
     seq_monroe,
     stv,
 )
@@ -150,6 +156,53 @@ def ref_stv(instance, k, quota=HARE):
     return budget, RuleTrace("stv", tuple(entries))
 
 
+# --- reference sccr and axiom scan --------------------------------------------------
+
+def _ref_approvers(instance):
+    return [
+        frozenset(v for v, ballot in enumerate(instance.ballots) if p in ballot)
+        for p in range(instance.m)
+    ]
+
+
+def ref_sccr(instance, mode=APPROVAL):
+    _check_mode(instance, mode)
+    approvers = _ref_approvers(instance)
+    unsatisfied = set(range(instance.n))
+    chosen, spent, entries = set(), 0, []
+    while True:
+        best, best_score = -1, -1
+        for p in range(instance.m):
+            if p in chosen or instance.costs[p] > instance.limit - spent:
+                continue
+            if mode == APPROVAL:
+                score = len(approvers[p] & unsatisfied)
+            else:
+                score = sum(instance.m - instance.positions[v][p] for v in unsatisfied)
+            if score > best_score:
+                best, best_score = p, score
+        if best < 0:
+            break
+        newly = approvers[best] & unsatisfied
+        entries.append(TraceEntry(len(entries) + 1, best, best_score, frozenset(newly)))
+        chosen.add(best)
+        spent += instance.costs[best]
+        unsatisfied -= newly
+    return make_budget(instance, chosen), RuleTrace("sccr", tuple(entries))
+
+
+def ref_scan(instance, budget, axiom):
+    if not is_feasible(instance, budget):
+        raise ContractError("axiom checks require a feasible budget")
+    funded = frozenset(p for p in budget.selected if axiom == UJR or instance.costs[p] > 0)
+    flags = [not funded.isdisjoint(ballot) for ballot in instance.ballots]
+    for p, approvers in enumerate(_ref_approvers(instance)):
+        group = frozenset(v for v in approvers if not flags[v])
+        if len(group) * instance.limit >= instance.n:
+            return AxiomReport(axiom, False, (p, group))
+    return AxiomReport(axiom, True)
+
+
 # --- comparison -------------------------------------------------------------------
 
 def _outcome(call):
@@ -165,6 +218,8 @@ def _outcome(call):
             out.append(("trace", part.to_dict(), scores))
         elif isinstance(part, Assignment):
             out.append(("assignment", dict(part.rep), part.capacity))
+        elif isinstance(part, AxiomReport):
+            out.append(("report", part.to_dict()))
         else:
             out.append(part)
     return out
@@ -191,6 +246,29 @@ def ranked_unit_instances(draw, max_n=30, max_m=8):
     return Instance(costs, ballots, limit, rankings=rankings)
 
 
+@st.composite
+def wide_instances(draw, unit_cost=False, max_n=200, max_m=8):
+    """Ranked instances with up to max_n voters, so voter bitmasks often span
+    several machine words. Ballots and rankings come from a seeded Random to
+    keep the draw small. Costs run from 0 to 6 (zero only where allowed); with
+    ``unit_cost`` they are one equal cost and the limit affords at least three
+    projects, which is smr's greedy path."""
+    m = draw(st.integers(3 if unit_cost else 1, max_m))
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    rankings = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+    ballots = [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
+    allow_zero_cost = not unit_cost and draw(st.booleans())
+    if unit_cost:
+        unit = draw(st.integers(1, 3))
+        costs = [unit] * m
+        limit = unit * draw(st.integers(3, m + 1)) + draw(st.integers(0, unit - 1))
+    else:
+        costs = draw(st.lists(st.integers(0 if allow_zero_cost else 1, 6), min_size=m, max_size=m))
+        limit = draw(st.integers(max(1, *costs), sum(costs) + 1))
+    return Instance(costs, ballots, limit, rankings, allow_zero_cost)
+
+
 QUOTAS = st.one_of(
     st.sampled_from([HARE, DROOP]),
     st.fractions(min_value=Fraction(1, 4), max_value=20, max_denominator=7),
@@ -203,6 +281,36 @@ QUOTAS = st.one_of(
 def test_smr_matches_reference(instance, mode):
     assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
         lambda: ref_seq_monroe(instance, mode)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_instances(unit_cost=True), st.sampled_from([APPROVAL, BORDA]))
+def test_smr_matches_reference_on_wide_instances(instance, mode):
+    assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
+        lambda: ref_seq_monroe(instance, mode)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_instances(), st.sampled_from([APPROVAL, BORDA]))
+def test_sccr_matches_reference(instance, mode):
+    assert _outcome(lambda: seq_chamberlin_courant(instance, mode)) == _outcome(
+        lambda: ref_sccr(instance, mode)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_instances(), st.data())
+def test_axiom_scan_matches_reference(instance, data):
+    """Budgets are sccr's, which are feasible, or any subset of the projects."""
+    if data.draw(st.booleans(), label="sccr budget"):
+        budget = seq_chamberlin_courant(instance)[0]
+    else:
+        budget = make_budget(instance, data.draw(st.frozensets(st.integers(0, instance.m - 1))))
+    axiom = data.draw(st.sampled_from(AXIOMS), label="axiom")
+    assert _outcome(lambda: (check_axiom(instance, budget, axiom),)) == _outcome(
+        lambda: (ref_scan(instance, budget, axiom),)
     )
 
 
