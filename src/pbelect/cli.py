@@ -8,9 +8,11 @@ form ``error: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .axioms import AXIOMS, check_axiom
@@ -45,8 +47,37 @@ def _load_json(path: str) -> object:
             raise ValidationError(f"{path} is not readable JSON: {exc}") from None
 
 
-def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+def _json_text(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for ``value`` nested at ``indent``.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder, so non-empty
+    dicts with str keys and non-empty lists are laid out here by ``str.join``,
+    a list of plain ints in one ``join`` over ``int.__repr__``. Anything else
+    goes to ``json.dumps`` and is re-indented: an encoded string holds no raw
+    newline, so each newline it writes starts a line.
+    """
+    kind = type(value)
+    inner = indent + "  "
+    glue = ",\n" + inner
+    if value and kind is dict and set(map(type, value)) == {str}:
+        body = glue.join([
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if value and (kind is list or kind is tuple):
+        if set(map(type, value)) == {int}:  # not bool: type(True) is bool
+            body = glue.join(map(int.__repr__, value))
+        else:
+            body = glue.join([_json_text(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _emit(data: object, out: str | None) -> None:
+    """Write ``data`` as ``json.dumps(data, indent=2)`` plus a newline to the
+    file ``out``, or to stdout when ``out`` is None."""
+    text = _json_text(data) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -58,7 +89,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     instance = generate(config, args.trial)
-    atomic_write_text(Path(args.out), json.dumps(instance_to_dict(instance), indent=2) + "\n")
+    _emit(instance_to_dict(instance), args.out)
     return 0
 
 
@@ -67,7 +98,7 @@ def _cmd_run_rule(args: argparse.Namespace) -> int:
     budget, trace = RULES[args.rule].run(instance, args.scoring, args.quota, args.k)
     _emit(budget_to_dict(budget), args.out)
     if args.trace is not None:
-        atomic_write_text(Path(args.trace), json.dumps(trace.to_dict(), indent=2) + "\n")
+        _emit(trace.to_dict(), args.trace)
     return 0
 
 
@@ -115,6 +146,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then shared: parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbelect",

@@ -42,7 +42,7 @@ def _project_ids(value: object, m: int, voter: int | None = None) -> frozenset[i
         ids = frozenset(value)
     except TypeError:  # an unhashable entry such as [0]
         raise _ids_error(voter, "must be a list of project ids") from None
-    for p in ids:
+    for p in value:  # not the set, which keeps 1 and drops a later true or 1.0
         if type(p) is not int or not 0 <= p < m:
             raise _ids_error(voter, f"names unknown project {p!r}")
     return ids
@@ -58,8 +58,8 @@ def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
     the first bad voter otherwise.
 
     A few C-level passes over all voters accept valid ballots. Anything else
-    goes through the per-voter loop, which words the error (or accepts a
-    ballot such as [1, true] that the set reads as {1}).
+    goes through the per-voter loop, which words the error; it checks every
+    entry, so a ballot such as [1, true], which the set reads as {1}, fails.
     """
     if all(issubclass(kind, (list, tuple, set, frozenset)) for kind in set(map(type, ballots))):
         try:  # after the type test: frozenset() would consume any iterable

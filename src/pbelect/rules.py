@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Literal
@@ -100,6 +101,16 @@ def _voter_score(instance: Instance, mode: str, project: int, voter: int) -> int
 
 # --- coverage greedy ----------------------------------------------------------
 
+def _rank_sums(rankings: Iterable[tuple[int, ...]], m: int) -> list[int]:
+    """Per project, its 0-based rank summed over ``rankings``: one C-level count
+    per rank column."""
+    sums = [0] * m
+    for rank, column in enumerate(zip(*rankings)):
+        for p, voters in Counter(column).items():
+            sums[p] += rank * voters
+    return sums
+
+
 def seq_chamberlin_courant(
     instance: Instance, mode: ScoringMode = APPROVAL
 ) -> tuple[Budget, RuleTrace]:
@@ -110,12 +121,19 @@ def seq_chamberlin_courant(
     approved funded project yet; those voters then stop counting. The loop
     continues until nothing fits, so the result is feasible and exhaustive.
     Those voters are a bitmask, so a project's approval score is the popcount
-    of its ``approver_masks`` entry ANDed with it.
+    of its ``approver_masks`` entry ANDed with it. Its borda score over them,
+    the sum of ``m - rank``, is ``left * m`` minus its rank sum over them, and
+    each pick subtracts the rank sums of the voters it covers, so a run reads
+    each ranking twice: O(n·m).
     """
     _check_mode(instance, mode)
     masks = instance.approver_masks
     unsatisfied = (1 << instance.n) - 1  # bit v: voter v has no approved funded project
     m = instance.m
+    if mode == BORDA:
+        rankings = instance.rankings
+        assert rankings is not None
+        rank_sums = _rank_sums(rankings, m)  # over the unsatisfied voters
     chosen: set[int] = set()
     spent = 0
     entries: list[TraceEntry] = []
@@ -123,9 +141,7 @@ def seq_chamberlin_courant(
     while True:
         slack = instance.limit - spent
         if mode == BORDA:
-            positions = instance.positions
-            assert positions is not None
-            voters = list(voter_ids(unsatisfied))
+            most = unsatisfied.bit_count() * m  # the score of a project they all rank first
         best = -1
         best_score = -1
         for p in range(m):
@@ -134,17 +150,21 @@ def seq_chamberlin_courant(
             if mode == APPROVAL:
                 score = (masks[p] & unsatisfied).bit_count()
             else:
-                score = sum(m - positions[v][p] for v in voters)
+                score = most - rank_sums[p]
             if score > best_score:
                 best, best_score = p, score
         if best < 0:
             break
         iteration += 1
         newly = masks[best] & unsatisfied
-        entries.append(TraceEntry(iteration, best, best_score, frozenset(voter_ids(newly))))
+        voters = frozenset(voter_ids(newly))
+        entries.append(TraceEntry(iteration, best, best_score, voters))
         chosen.add(best)
         spent += instance.costs[best]
         unsatisfied ^= newly
+        if mode == BORDA:
+            covered = _rank_sums([rankings[v] for v in voters], m)
+            rank_sums = list(map(operator.sub, rank_sums, covered))
     return make_budget(instance, chosen), RuleTrace("sccr", tuple(entries))
 
 

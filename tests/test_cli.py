@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbelect.cli import _build_parser, main
+from pbelect.axioms import AXIOMS, check_axiom
+from pbelect.cli import _build_parser, _emit, main
 from pbelect.core import (
     ContractError,
     Instance,
@@ -17,10 +23,25 @@ from pbelect.core import (
     instance_from_dict,
     instance_to_dict,
 )
-from pbelect.culture import culture_config_to_dict, equal_valued_culture
-from pbelect.harness import experiment_config_to_dict
-from pbelect.rules import RULES, committee_size, seq_chamberlin_courant, seq_monroe, stv
+from pbelect.culture import (
+    culture_config_to_dict,
+    equal_valued_culture,
+    general_case_culture,
+    generate,
+)
+from pbelect.harness import experiment_config_to_dict, replay_trial
+from pbelect.rules import (
+    APPROVAL,
+    BORDA,
+    RULES,
+    committee_size,
+    seq_chamberlin_courant,
+    seq_monroe,
+    stv,
+)
 from test_harness import small_config
+
+FIXTURES = ["i_a", "i_b", "i_c", "i_d", "i_e"]
 
 
 @pytest.fixture
@@ -35,6 +56,36 @@ def write_json(path, data):
     return path
 
 
+def indent2(data) -> bytes:
+    """The bytes every JSON file or stdout document of the CLI must be."""
+    return (json.dumps(data, indent=2) + "\n").encode()
+
+
+# --- the JSON writer ---------------------------------------------------------------
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=6)  # bools inside int lists
+        | st.lists(st.integers(), max_size=6).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+        | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_writer_is_json_dumps_indent2(value):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(value, None)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
 # --- gen ------------------------------------------------------------------------
 
 def test_gen_writes_valid_instance(tmp_path):
@@ -43,6 +94,15 @@ def test_gen_writes_valid_instance(tmp_path):
     assert main(["gen", "--config", str(config), "--trial", "5", "--out", str(out)]) == 0
     inst = instance_from_dict(json.loads(out.read_text()))
     assert inst.n >= 1
+
+
+@pytest.mark.parametrize("culture", [equal_valued_culture(), general_case_culture()])
+def test_gen_writes_indent2_json(culture, tmp_path):
+    config = write_json(tmp_path / "culture.json", culture_config_to_dict(culture))
+    out = tmp_path / "instance.json"
+    for trial in range(3):
+        assert main(["gen", "--config", str(config), "--trial", str(trial), "--out", str(out)]) == 0
+        assert out.read_bytes() == indent2(instance_to_dict(generate(culture, trial)))
 
 
 def test_gen_is_reproducible(tmp_path):
@@ -140,7 +200,7 @@ def test_rule_choices_are_the_registry():
     assert tuple(rule.choices) == tuple(RULES) == tuple(DIRECT)
 
 
-@pytest.mark.parametrize("fixture", ["i_a", "i_b", "i_c", "i_d", "i_e"])
+@pytest.mark.parametrize("fixture", FIXTURES)
 @pytest.mark.parametrize("rule", list(RULES))
 def test_run_rule_matches_direct_call(rule, fixture, request, tmp_path, capsys):
     instance = request.getfixturevalue(fixture)
@@ -159,6 +219,28 @@ def test_run_rule_matches_direct_call(rule, fixture, request, tmp_path, capsys):
     assert code == 0
     assert out.read_text() == json.dumps(budget_to_dict(budget), indent=2) + "\n"
     assert trace.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_parser_is_reused_without_keeping_options(tmp_path, capsys):
+    """One process, one parser: options of an earlier call do not carry over."""
+    instance = Instance([1, 1, 1], [{0}, {0}, {1}], 2, rankings=[(1, 2, 0)] * 3)
+    path = write_json(tmp_path / "inst.json", instance_to_dict(instance))
+    trace = tmp_path / "trace.json"
+
+    def run(*options):
+        assert main(["run-rule", "--instance", str(path), *options]) == 0
+        return json.loads(capsys.readouterr().out)["selected"]
+
+    assert run("--rule", "sccr", "--scoring", "borda", "--trace", str(trace)) == [1, 2]
+    assert run("--rule", "stv", "--k", "1") == [1]
+    trace.unlink()
+    assert run("--rule", "sccr") == sorted(seq_chamberlin_courant(instance)[0].selected) == [0, 1]
+    assert run("--rule", "stv") == sorted(stv(instance, committee_size(instance))[0].selected)
+    assert len(run("--rule", "stv")) == committee_size(instance) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+    args = _build_parser().parse_args(["run-rule", "--rule", "sccr", "--instance", str(path)])
+    assert (args.scoring, args.k, args.trace, args.out) == (APPROVAL, None, None, None)
+    assert _build_parser() is _build_parser()
 
 
 def test_run_rule_malformed_json(tmp_path, capsys):
@@ -201,6 +283,35 @@ def test_check_axiom_satisfied_exits_0(tmp_path, i_e, capsys):
     code = main(["check-axiom", "--axiom", "strong-bjr", "--instance", str(inst), "--budget", str(budget)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["satisfied"] is True
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_rule_and_axiom_outputs_are_indent2_json(fixture, request, tmp_path):
+    """Budget, trace and report files of every rule under both scorings, and of
+    both axioms on each budget, are the objects' ``json.dumps(indent=2)``."""
+    instance = request.getfixturevalue(fixture)
+    inst = write_json(tmp_path / "inst.json", instance_to_dict(instance))
+    budget_path, trace_path, report_path = (tmp_path / f"{k}.json" for k in ("b", "t", "r"))
+    for rule, scoring in itertools.product(RULES, (APPROVAL, BORDA)):
+        try:
+            budget, trace = RULES[rule].run(instance, scoring)
+        except ContractError:
+            continue
+        code = main([
+            "run-rule", "--rule", rule, "--scoring", scoring, "--instance", str(inst),
+            "--out", str(budget_path), "--trace", str(trace_path),
+        ])
+        assert code == 0
+        assert budget_path.read_bytes() == indent2(budget_to_dict(budget))
+        assert trace_path.read_bytes() == indent2(trace.to_dict())
+        for axiom in AXIOMS:
+            report = check_axiom(instance, budget, axiom)
+            code = main([
+                "check-axiom", "--axiom", axiom, "--instance", str(inst),
+                "--budget", str(budget_path), "--out", str(report_path),
+            ])
+            assert code == (0 if report.satisfied else 3)
+            assert report_path.read_bytes() == indent2(report.to_dict())
 
 
 def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
@@ -348,7 +459,9 @@ def test_experiment_replay_prints_verdicts(tmp_path, capsys):
     config = write_json(tmp_path / "exp.json", experiment_config_to_dict(small_config()))
     code = main(["experiment", "--config", str(config), "--replay", "equal:3"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.encode() == indent2(replay_trial(small_config(), "equal", 3))
+    payload = json.loads(out)
     assert payload["trial"] == 3
     assert set(payload["results"]) == {"sccr", "smr", "stv"}
 

@@ -80,6 +80,11 @@ VOTER_ERRORS = {
     "ballot-unknown-id": (([0], {1}, {2}, [7]), None, "voter 3's ballot names unknown project 7"),
     "ballot-id-m": (([0], [1, 3]), None, "voter 1's ballot names unknown project 3"),
     "ballot-bool": (([0], {True}), None, "voter 1's ballot names unknown project True"),
+    # the set of [1, true] is {1}: the entries themselves are checked
+    "ballot-int-then-bool": (([1, True], [0]), None, "voter 0's ballot names unknown project True"),
+    "ballot-int-then-float": (
+        ([0], [0, 1, 1.0]), None, "voter 1's ballot names unknown project 1.0"
+    ),
     "ballot-negative": (([0], (1, -1)), None, "voter 1's ballot names unknown project -1"),
     "ballot-empty": (([0], set(), [9]), None, "voter 1 has an empty approval ballot"),
     "ballot-of-lists": (([0], [1], [[0]]), None, "voter 2's ballot must be a list of project ids"),
@@ -111,6 +116,19 @@ VOTER_ERRORS = {
 def test_instance_errors_name_the_first_bad_voter(ballots, rankings, message):
     with pytest.raises(ValidationError) as caught:
         Instance((1, 1, 1), ballots, 1, rankings)
+    assert str(caught.value) == message
+
+
+BUDGET_ERRORS = {
+    "budget-int-then-bool": ([1, True], "a budget names unknown project True"),
+    "budget-int-then-float": ((0, 0.0), "a budget names unknown project 0.0"),
+}
+
+
+@pytest.mark.parametrize("selected, message", list(BUDGET_ERRORS.values()), ids=list(BUDGET_ERRORS))
+def test_budget_errors_name_the_bad_id(selected, message):
+    with pytest.raises(ValidationError) as caught:
+        make_budget(ONE, selected)
     assert str(caught.value) == message
 
 

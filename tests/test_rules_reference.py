@@ -4,7 +4,9 @@ The reference keeps the straightforward loops: smr re-sorts every unassigned
 voter per project per round and enumerates every size-k budget with its keyed
 assignment for k <= 2; stv keeps one ``Fraction`` weight per voter and re-tallies
 every voter each round; sccr and the axiom scan keep each project's approvers
-as a frozenset of voters where the library uses int bitmasks. Each must return
+as a frozenset of voters where the library uses int bitmasks, and borda sccr
+re-sums every unsatisfied voter's ``m - rank`` where the library keeps rank
+sums per project. Each must return
 the same budget, trace (exact scores included), assignment, report and error as
 its reference on every instance, including instances with more voters than one
 machine word holds.
@@ -250,13 +252,17 @@ def ranked_unit_instances(draw, max_n=30, max_m=8):
 def wide_instances(draw, unit_cost=False, max_n=200, max_m=8):
     """Ranked instances with up to max_n voters, so voter bitmasks often span
     several machine words. Ballots and rankings come from a seeded Random to
-    keep the draw small. Costs run from 0 to 6 (zero only where allowed); with
-    ``unit_cost`` they are one equal cost and the limit affords at least three
-    projects, which is smr's greedy path."""
+    keep the draw small; in mirrored instances every odd voter ranks in the
+    reverse order of the voter before, so borda scores tie across projects.
+    Costs run from 0 to 6 (zero only where allowed); with ``unit_cost`` they
+    are one equal cost and the limit affords at least three projects, which is
+    smr's greedy path."""
     m = draw(st.integers(3 if unit_cost else 1, max_m))
     n = draw(st.integers(1, max_n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
     rankings = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+    if draw(st.booleans(), label="mirrored"):
+        rankings[1::2] = [r[::-1] for r in rankings[: n // 2 * 2 : 2]]
     ballots = [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
     allow_zero_cost = not unit_cost and draw(st.booleans())
     if unit_cost:
@@ -295,6 +301,8 @@ def test_smr_matches_reference_on_wide_instances(instance, mode):
 @settings(max_examples=150, deadline=None)
 @given(wide_instances(), st.sampled_from([APPROVAL, BORDA]))
 def test_sccr_matches_reference(instance, mode):
+    """Borda runs cover rank sums past one machine word of voters, zero-cost
+    projects and tied scores, the last through mirrored rankings."""
     assert _outcome(lambda: seq_chamberlin_courant(instance, mode)) == _outcome(
         lambda: ref_sccr(instance, mode)
     )
