@@ -7,11 +7,9 @@ from .core import (
     ContractError,
     Instance,
     ValidationError,
-    coverage,
     is_exhaustive,
     is_feasible,
     make_budget,
-    voter_satisfied,
 )
 from .rules import (
     APPROVAL,
@@ -24,20 +22,11 @@ from .rules import (
     seq_monroe,
     stv,
 )
-from .axioms import (
-    AxiomReport,
-    STRONG_BJR,
-    UJR,
-    check_axiom,
-    check_strong_bjr,
-    check_ujr,
-    naive_axiom_oracle,
-)
+from .axioms import STRONG_BJR, UJR, AxiomReport, check_axiom, naive_axiom_oracle
 from .culture import CultureConfig, derive_trial_seed, generate
 from .harness import (
     CaseConfig,
     ExperimentConfig,
-    ExperimentResult,
     default_experiment_config,
     emit_plot_data,
     replay_trial,

@@ -66,17 +66,9 @@ def _scan(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
     return AxiomReport(axiom, True)
 
 
-def check_ujr(instance: Instance, budget: Budget) -> AxiomReport:
-    """Every large-enough cohesive group must see some member's approval funded."""
-    return _scan(instance, budget, UJR)
-
-
-def check_strong_bjr(instance: Instance, budget: Budget) -> AxiomReport:
-    """As check_ujr, but only positive-cost funded projects represent a voter."""
-    return _scan(instance, budget, STRONG_BJR)
-
-
 def check_axiom(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
+    """Every large-enough cohesive group must see some member's approval funded;
+    under STRONG_BJR only positive-cost funded projects represent a voter."""
     _check_axiom_name(axiom)
     return _scan(instance, budget, axiom)
 

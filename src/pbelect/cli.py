@@ -1,8 +1,8 @@
 """Command-line interface: gen, run-rule, check-axiom, experiment, plot-data.
 
-Exit codes: 0 success, 1 malformed input, 2 contract or configuration error,
-3 axiom violated (check-axiom only). Errors print one line to stderr in the
-form ``error: <kind>: <message>``.
+Exit codes: 0 success, 1 malformed input, 2 usage, contract or configuration
+error, 3 axiom violated (check-axiom only). Errors print one line to stderr in
+the form ``error: <kind>: <message>``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NoReturn
 
 from .axioms import AXIOMS, check_axiom
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
 )
 from .culture import culture_config_from_dict, generate
 from .harness import (
+    ResultRow,
     atomic_write_text,
     default_experiment_config,
     emit_plot_data,
@@ -127,28 +129,54 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise ValidationError("--replay expects CASE:TRIAL, e.g. equal:17") from None
         _emit(replay_trial(config, case_name, trial), None)
         return 0
-    result = run_experiment(config, workers=args.workers)
+    rows = run_experiment(config, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = write_results_csv(result, out_dir / "results.csv")
-    plot_paths = emit_plot_data(result, out_dir)
+    results_path = write_results_csv(rows, out_dir / "results.csv")
+    plot_paths = emit_plot_data(rows, out_dir)
     for path in [results_path, *plot_paths]:
         print(f"wrote {path}")
+    _print_table(rows)
     return 0
+
+
+def _print_table(rows: tuple[ResultRow, ...]) -> None:
+    """After a blank line, one column per (case, rule) and one line per trial
+    count, each cell that row's probability_pct."""
+    columns = ["trials", *dict.fromkeys(f"{row.case}/{row.rule}" for row in rows)]
+    widths = [max(8, len(column) + 2) for column in columns]
+    lines: dict[int, list[str]] = {}
+    for row in rows:
+        lines.setdefault(row.trial_count, [str(row.trial_count)]).append(row.probability_pct)
+    print()
+    for cells in [columns, *lines.values()]:
+        print("".join(cell.rjust(width) for cell, width in zip(cells, widths)))
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    result = results_from_csv(args.results)
+    rows = results_from_csv(args.results)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in emit_plot_data(result, out_dir):
+    for path in emit_plot_data(rows, out_dir):
         print(f"wrote {path}")
     return 0
 
 
+class _UsageError(Exception):
+    """The parser refused the command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line instead of printing usage and exiting, so
+    ``main`` reports it in one line; subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
 @functools.cache  # built on the first main() call, then shared: parse_args leaves it as it is
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="pbelect",
         description="Participatory-budgeting rules, axiom checks, and experiments.",
     )
@@ -198,14 +226,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: int, kind: str, message: object) -> int:
-    print(f"error: {kind}: {message}", file=sys.stderr)
+    # one line even when a message repeats an argument that holds a newline
+    print(f"error: {kind}: {message}".replace("\n", "\\n"), file=sys.stderr)
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except _UsageError as exc:
+        return _fail(2, "usage", exc)
     except ValidationError as exc:
         return _fail(1, "invalid-input", exc)
     except OSError as exc:

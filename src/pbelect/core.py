@@ -185,13 +185,6 @@ class Instance:
                 masks[p] |= bit
         return tuple(masks)
 
-    @cached_property
-    def positions(self) -> tuple[dict[int, int], ...] | None:
-        """Per voter, project id -> 0-based rank. None without rankings."""
-        if self.rankings is None:
-            return None
-        return tuple({p: i for i, p in enumerate(r)} for r in self.rankings)
-
 
 def voter_ids(mask: int) -> Iterator[int]:
     """The voters whose bits are set in a non-negative ``mask``, in ascending order."""
@@ -243,27 +236,6 @@ def is_exhaustive(instance: Instance, budget: Budget) -> bool:
         instance.costs[p] > slack
         for p in range(instance.m)
         if p not in budget.selected
-    )
-
-
-def voter_satisfied(ballot: frozenset[int], budget: Budget) -> bool:
-    """True iff the ballot approves at least one selected project."""
-    return not budget.selected.isdisjoint(ballot)
-
-
-def coverage(instance: Instance, budget: Budget) -> int:
-    """Number of voters with at least one approved project selected."""
-    sel = budget.selected
-    return sum(1 for ballot in instance.ballots if not sel.isdisjoint(ballot))
-
-
-def prefix_coherent(instance: Instance) -> bool:
-    """True iff every ballot equals a prefix of its owner's ranking."""
-    if instance.rankings is None:
-        return False
-    return all(
-        ballot == frozenset(ranking[: len(ballot)])
-        for ballot, ranking in zip(instance.ballots, instance.rankings)
     )
 
 

@@ -49,7 +49,9 @@ PLOT_HEADER = ("trial_count", "rule", "probability")
 
 # A case name becomes part of plot_<case>.csv, a CSV field and --replay CASE:TRIAL.
 _CASE_NAME = re.compile(r"[A-Za-z0-9_-]+")
-# A probability as _format_probability writes it: plain decimal digits, no sign or exponent.
+# A count, a time and a probability as this module writes them: plain decimal
+# digits, no sign, space, underscore or exponent.
+_COUNT = re.compile(r"[0-9]+")
 _PERCENT = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
@@ -131,17 +133,6 @@ class ResultRow:
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    rows: tuple[ResultRow, ...]
-
-    def probability(self, case: str, rule: str, trial_count: int) -> Decimal:
-        for row in self.rows:
-            if (row.case, row.rule, row.trial_count) == (case, rule, trial_count):
-                return Decimal(row.probability_pct)
-        raise LookupError(f"no row for ({case}, {rule}, {trial_count})")
-
-
 def default_experiment_config(
     master_seed: int = 0, trial_counts: tuple[int, ...] = PAPER_TRIAL_COUNTS
 ) -> ExperimentConfig:
@@ -187,7 +178,7 @@ def _format_probability(satisfied: int, count: int) -> str:
     return str(pct)
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tuple[ResultRow, ...]:
     """Run every (case, rule) over max(trial_counts) trials and aggregate rows.
 
     Trial seeds depend only on (master_seed, trial index), and counts are
@@ -217,7 +208,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
                 rows.append(
                     ResultRow(count, case.name, rule, _format_probability(satisfied, count), elapsed_ms)
                 )
-    return ExperimentResult(tuple(rows))
+    return tuple(rows)
 
 
 def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
@@ -262,40 +253,36 @@ def atomic_write_text(path: Path | str, text: str) -> Path:
     return path
 
 
-def write_results_csv(result: ExperimentResult, path: Path | str) -> Path:
+def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULTS_HEADER)
-    for row in result.rows:
+    for row in rows:
         writer.writerow(
             (row.trial_count, row.case, row.rule, row.probability_pct, row.elapsed_ms)
         )
     return atomic_write_text(path, buf.getvalue())
 
 
-def emit_plot_data(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
+def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
     """One CSV per case with (trial_count, rule, probability), by trial count."""
-    if not result.rows:
+    if not rows:
         raise ContractError("cannot emit plot data for an empty result")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    case_order: list[str] = []
-    for row in result.rows:
-        if row.case not in case_order:
-            case_order.append(row.case)
     written = []
-    for case in case_order:
+    for case in dict.fromkeys(row.case for row in rows):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(PLOT_HEADER)
-        for row in result.rows:
+        for row in rows:
             if row.case == case:
                 writer.writerow((row.trial_count, row.rule, row.probability_pct))
         written.append(atomic_write_text(out_dir / f"plot_{case}.csv", buf.getvalue()))
     return written
 
 
-def results_from_csv(path: Path | str) -> ExperimentResult:
+def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -315,12 +302,14 @@ def results_from_csv(path: Path | str) -> ExperimentResult:
         count_s, case, rule, prob, elapsed_s = record
         try:
             _check_case_name(case)
+            if not (_COUNT.fullmatch(count_s) and _COUNT.fullmatch(elapsed_s)):
+                raise ValidationError("trial_count and elapsed_ms must be plain decimal digits")
             count = int(count_s)
             elapsed = int(elapsed_s)
-        except ValueError as exc:
+        except ValueError as exc:  # int() refuses more digits than sys.get_int_max_str_digits()
             raise ValidationError(f"line {lineno}: {exc}") from exc
-        if count < 1 or elapsed < 0:
-            raise ValidationError(f"line {lineno}: needs trial_count >= 1 and elapsed_ms >= 0")
+        if count < 1:
+            raise ValidationError(f"line {lineno}: needs trial_count >= 1")
         if not (_PERCENT.fullmatch(prob) and Decimal(prob) <= 100):
             raise ValidationError(f"line {lineno}: probability {prob!r} is not a percentage in [0, 100]")
         if rule not in RULES:
@@ -329,7 +318,7 @@ def results_from_csv(path: Path | str) -> ExperimentResult:
             raise ValidationError(f"line {lineno}: repeats the row for ({count}, {case}, {rule})")
         seen.add((count, case, rule))
         rows.append(ResultRow(count, case, rule, prob, elapsed))
-    return ExperimentResult(tuple(rows))
+    return tuple(rows)
 
 
 # --- config (de)serialization ------------------------------------------------------

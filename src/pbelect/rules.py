@@ -91,14 +91,6 @@ def _check_mode(instance: Instance, mode: str) -> None:
         raise ConfigurationError("borda scoring requires rankings on the instance")
 
 
-def _voter_score(instance: Instance, mode: str, project: int, voter: int) -> int:
-    if mode == APPROVAL:
-        return 1 if project in instance.ballots[voter] else 0
-    positions = instance.positions
-    assert positions is not None
-    return instance.m - positions[voter][project]
-
-
 # --- coverage greedy ----------------------------------------------------------
 
 def _rank_sums(rankings: Iterable[tuple[int, ...]], m: int) -> list[int]:
@@ -184,8 +176,23 @@ def committee_size(instance: Instance) -> int:
     return min(instance.limit // _uniform_cost(instance), instance.m)
 
 
+def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
+    """Per project, every voter's score for it, indexed by voter id: 1 if the
+    voter approves it and 0 otherwise, or under borda ``m - rank``."""
+    m = instance.m
+    if mode == APPROVAL:
+        return [[1 if p in ballot else 0 for ballot in instance.ballots] for p in range(m)]
+    rankings = instance.rankings
+    assert rankings is not None
+    scores = [[0] * instance.n for _ in range(m)]
+    for v, ranking in enumerate(rankings):
+        for rank, p in enumerate(ranking):
+            scores[p][v] = m - rank
+    return scores
+
+
 def _best_assignment(
-    instance: Instance, mode: str, ids: tuple[int, ...], capacity: int
+    scores: list[list[int]], ids: tuple[int, ...], capacity: int
 ) -> tuple[dict[int, int], int]:
     """Optimal capacity-respecting assignment of all voters to 1 or 2 projects.
 
@@ -194,14 +201,12 @@ def _best_assignment(
     and every allowed split size is tried; the best prefix goes to a and the
     remainder to b. Splits tying on total score keep the smallest prefix.
     """
-    n = instance.n
+    n = len(scores[ids[0]])
     if len(ids) == 1:
         p = ids[0]
-        rep = {v: p for v in range(n)}
-        return rep, sum(_voter_score(instance, mode, p, v) for v in range(n))
+        return dict.fromkeys(range(n), p), sum(scores[p])
     a, b = ids
-    score_a = [_voter_score(instance, mode, a, v) for v in range(n)]
-    score_b = [_voter_score(instance, mode, b, v) for v in range(n)]
+    score_a, score_b = scores[a], scores[b]
     order = sorted(range(n), key=lambda v: (score_b[v] - score_a[v], v))
     base = sum(score_b)
     lo = max(0, n - capacity)
@@ -219,22 +224,20 @@ def _best_assignment(
 
 
 def _best_budget_of_size(
-    instance: Instance, mode: str, k: int, capacity: int
+    scores: list[list[int]], k: int, capacity: int
 ) -> tuple[tuple[int, ...], dict[int, int], int]:
-    best: tuple[tuple[int, ...], dict[int, int], int] | None = None
-    for ids in itertools.combinations(range(instance.m), k):
-        if sum(instance.costs[p] for p in ids) > instance.limit:
-            continue
-        rep, score = _best_assignment(instance, mode, ids, capacity)
-        if best is None or score > best[2]:
+    """The best size-k budget by keyed assignment, ties to the first in
+    ``itertools.combinations`` order. Every budget must fit the limit."""
+    best: tuple[tuple[int, ...], dict[int, int], int] = ((), {}, -1)
+    for ids in itertools.combinations(range(len(scores)), k):
+        rep, score = _best_assignment(scores, ids, capacity)
+        if score > best[2]:
             best = (ids, rep, score)
-    if best is None:
-        raise ContractError(f"no feasible budget of size {k} exists")
     return best
 
 
 def _assignment_entries(
-    instance: Instance, mode: str, ids: tuple[int, ...], rep: dict[int, int]
+    scores: list[list[int]], ids: tuple[int, ...], rep: dict[int, int]
 ) -> tuple[TraceEntry, ...]:
     grouped: dict[int, list[int]] = {p: [] for p in ids}
     for v, p in rep.items():
@@ -242,36 +245,26 @@ def _assignment_entries(
     entries = []
     for i, p in enumerate(sorted(ids), start=1):
         voters = grouped[p]
-        total = sum(_voter_score(instance, mode, p, v) for v in voters)
+        total = sum(scores[p][v] for v in voters)
         entries.append(TraceEntry(i, p, total, frozenset(voters)))
     return tuple(entries)
 
 
-def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
-    """Per project, every voter's score for it, indexed by voter id."""
-    voters = range(instance.n)
-    return [[_voter_score(instance, mode, p, v) for v in voters] for p in range(instance.m)]
+def _best_small_budget(scores: list[list[int]], k: int, capacity: int) -> tuple[int, ...]:
+    """The ids ``_best_budget_of_size`` picks for k <= 2.
 
-
-def _best_small_budget(
-    instance: Instance, mode: str, k: int, capacity: int
-) -> tuple[int, ...]:
-    """The ids ``_best_budget_of_size`` picks for k <= 2 on an equal-cost instance.
-
-    Every size-k budget fits, so none is skipped. A pair's best total depends
-    only on the sorted score differences, so the keyed assignment is left to
-    the caller, for the winning pair alone. Ties go to the first budget in
-    ``itertools.combinations`` order, as there.
+    A pair's best total depends only on the sorted score differences, so the
+    keyed assignment is left to the caller, for the winning pair alone. Ties go
+    to the first budget in ``itertools.combinations`` order, as there.
     """
-    scores = _score_vectors(instance, mode)
+    m, n = len(scores), len(scores[0])
     totals = [sum(vector) for vector in scores]
     if k == 1:
-        return (max(range(instance.m), key=totals.__getitem__),)
-    n = instance.n
+        return (max(range(m), key=totals.__getitem__),)
     lo, hi = max(0, n - capacity), min(capacity, n)
     best: tuple[int, ...] = ()
     best_total = -1
-    for a, b in itertools.combinations(range(instance.m), 2):
+    for a, b in itertools.combinations(range(m), 2):
         diffs = sorted(map(operator.sub, scores[a], scores[b]), reverse=True)
         prefix = itertools.accumulate(diffs, initial=0)
         total = totals[b] + max(itertools.islice(prefix, lo, hi + 1))
@@ -302,9 +295,10 @@ def seq_monroe(
     k = committee_size(instance)
     cap = -(-instance.n // k)
     if k <= 2:
-        ids = _best_small_budget(instance, mode, k, cap)
-        rep, _ = _best_assignment(instance, mode, ids, cap)
-        entries = _assignment_entries(instance, mode, ids, rep)
+        scores = _score_vectors(instance, mode)
+        ids = _best_small_budget(scores, k, cap)
+        rep, _ = _best_assignment(scores, ids, cap)
+        entries = _assignment_entries(scores, ids, rep)
         return make_budget(instance, ids), Assignment(rep, cap), RuleTrace("smr", entries)
 
     n = instance.n
@@ -516,13 +510,15 @@ def brute_force_monroe_optimal(
 ) -> tuple[Budget, Assignment, int]:
     """Enumerate all size-k budgets with their optimal assignments (k <= 2 only)."""
     _check_mode(instance, mode)
-    _uniform_cost(instance)
+    unit = _uniform_cost(instance)
     if type(k) is not int or k < 1:
         raise ValidationError("k must be a positive integer")
     if k > instance.m:
         raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
     if k > 2:
         raise ContractError("optimal assignment search is only available for k <= 2")
+    if k * unit > instance.limit:
+        raise ContractError(f"no feasible budget of size {k} exists")
     cap = -(-instance.n // k)
-    ids, rep, score = _best_budget_of_size(instance, mode, k, cap)
+    ids, rep, score = _best_budget_of_size(_score_vectors(instance, mode), k, cap)
     return make_budget(instance, ids), Assignment(rep, cap), score

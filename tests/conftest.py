@@ -1,12 +1,14 @@
-"""Shared fixtures: the five hand-traced elections plus random-instance helpers."""
+"""Shared fixtures: the five hand-traced elections, random-instance helpers,
+and the coverage, prefix and probability helpers the tests check results with."""
 
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 
 import pytest
 
-from pbelect.core import Instance, make_budget
+from pbelect.core import Budget, Instance, make_budget
 
 
 @pytest.fixture
@@ -88,3 +90,26 @@ def random_feasible_budget(rng: random.Random, instance: Instance):
             chosen.add(p)
             spent += instance.costs[p]
     return make_budget(instance, chosen)
+
+
+def coverage(instance: Instance, budget: Budget) -> int:
+    """Number of voters with at least one approved project selected."""
+    return sum(not budget.selected.isdisjoint(ballot) for ballot in instance.ballots)
+
+
+def prefix_coherent(instance: Instance) -> bool:
+    """True iff every ballot equals a prefix of its owner's ranking."""
+    if instance.rankings is None:
+        return False
+    return all(
+        ballot == frozenset(ranking[: len(ballot)])
+        for ballot, ranking in zip(instance.ballots, instance.rankings)
+    )
+
+
+def probability(rows, case: str, rule: str, trial_count: int) -> Decimal:
+    """The probability_pct of the study row for (case, rule, trial_count)."""
+    for row in rows:
+        if (row.case, row.rule, row.trial_count) == (case, rule, trial_count):
+            return Decimal(row.probability_pct)
+    raise LookupError(f"no row for ({case}, {rule}, {trial_count})")

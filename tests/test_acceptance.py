@@ -16,10 +16,9 @@ from decimal import Decimal
 
 import pytest
 
-from pbelect.axioms import STRONG_BJR, UJR, check_strong_bjr, check_ujr, naive_axiom_oracle, verify_witness
+from pbelect.axioms import AXIOMS, UJR, check_axiom, naive_axiom_oracle, verify_witness
 from pbelect.core import (
     Instance,
-    coverage,
     is_exhaustive,
     is_feasible,
     make_budget,
@@ -44,7 +43,7 @@ from pbelect.rules import (
     stv,
 )
 
-from conftest import random_feasible_budget
+from conftest import coverage, probability, random_feasible_budget
 
 EQUAL_RULES = ("sccr", "smr", "stv")
 
@@ -58,9 +57,9 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def full_run():
     config = default_experiment_config()
     started = time.monotonic()
-    result = run_experiment(config)
+    rows = run_experiment(config)
     elapsed = time.monotonic() - started
-    return config, result, elapsed
+    return config, rows, elapsed
 
 
 # sha256 of the seed-0 default study outputs, recorded at commit 1864ef0.
@@ -72,9 +71,9 @@ SEED0_DIGESTS = {
 
 
 def test_seed0_study_bytes_match_recorded_digests(full_run, tmp_path):
-    _, result, _ = full_run
-    write_results_csv(result, tmp_path / "results.csv")
-    emit_plot_data(result, tmp_path)
+    _, rows, _ = full_run
+    write_results_csv(rows, tmp_path / "results.csv")
+    emit_plot_data(rows, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SEED0_DIGESTS
     }
@@ -82,10 +81,10 @@ def test_seed0_study_bytes_match_recorded_digests(full_run, tmp_path):
 
 
 def test_criterion_1_equal_valued_rates_and_runtime(full_run):
-    _, result, elapsed = full_run
+    _, rows, elapsed = full_run
     floor = Decimal("85")
     low = min(
-        result.probability("equal", rule, count)
+        probability(rows, "equal", rule, count)
         for rule in EQUAL_RULES
         for count in PAPER_TRIAL_COUNTS
     )
@@ -98,10 +97,10 @@ def test_criterion_1_equal_valued_rates_and_runtime(full_run):
 
 
 def test_criterion_2_rule_ordering_at_5000(full_run):
-    _, result, _ = full_run
-    sccr = result.probability("equal", "sccr", 5000)
-    smr = result.probability("equal", "smr", 5000)
-    stv_p = result.probability("equal", "stv", 5000)
+    _, rows, _ = full_run
+    sccr = probability(rows, "equal", "sccr", 5000)
+    smr = probability(rows, "equal", "smr", 5000)
+    stv_p = probability(rows, "equal", "stv", 5000)
     slack = Decimal("1.5")
     ok = stv_p >= sccr - slack and sccr >= smr - slack
     _report(
@@ -112,11 +111,11 @@ def test_criterion_2_rule_ordering_at_5000(full_run):
 
 
 def test_criterion_3_equal_general_gap(full_run):
-    _, result, _ = full_run
+    _, rows, _ = full_run
     gap_floor = Decimal("15")
     worst = min(
-        result.probability("equal", "sccr", count)
-        - result.probability("general", "sccr", count)
+        probability(rows, "equal", "sccr", count)
+        - probability(rows, "general", "sccr", count)
         for count in PAPER_TRIAL_COUNTS
     )
     ok = worst >= gap_floor
@@ -140,8 +139,8 @@ def test_criterion_4_oracle_equivalence():
         for culture in (unit, costed):
             instance = generate(culture, trial)
             budget = random_feasible_budget(rng, instance)
-            for axiom, checker in ((UJR, check_ujr), (STRONG_BJR, check_strong_bjr)):
-                fast = checker(instance, budget)
+            for axiom in AXIOMS:
+                fast = check_axiom(instance, budget, axiom)
                 slow = naive_axiom_oracle(instance, budget, axiom)
                 if fast.satisfied != slow.satisfied:
                     mismatches += 1
@@ -249,7 +248,7 @@ def test_criterion_7_determinism_and_replay(tmp_path):
                 for t in range(10)
             ]
             expected = _format_probability(sum(verdicts), 10)
-            if str(first.probability(case, rule, 10)) != expected:
+            if str(probability(first, case, rule, 10)) != expected:
                 replay_consistent = False
     ok = bytes_equal and plots_equal and replay_consistent
     _report(
@@ -299,7 +298,7 @@ def test_criterion_8_hand_traced_fixtures():
 
     # I_E: the deprived pair approving p0 certifies the violation.
     i_e = Instance([1, 1, 1, 1], [{0}, {0}, {1}, {1}], 2)
-    report = check_ujr(i_e, make_budget(i_e, {2, 3}))
+    report = check_axiom(i_e, make_budget(i_e, {2, 3}), UJR)
     if report.satisfied or report.witness != (0, frozenset({0, 1})):
         failures.append("I_E")
 

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbelect.axioms import (
+    AXIOMS,
     STRONG_BJR,
     UJR,
     check_axiom,
-    check_strong_bjr,
-    check_ujr,
     naive_axiom_oracle,
     verify_witness,
 )
@@ -31,12 +30,12 @@ from conftest import random_costed_instance, random_feasible_budget, random_unit
 
 def test_ujr_satisfied_when_everyone_covered():
     inst = Instance([1, 1, 1], [{0}, {1}, {2}, {0, 2}], 3)
-    report = check_ujr(inst, make_budget(inst, {0, 1, 2}))
+    report = check_axiom(inst, make_budget(inst, {0, 1, 2}), UJR)
     assert report.satisfied and report.witness is None
 
 
 def test_ujr_violation_on_i_e(i_e):
-    report = check_ujr(i_e, make_budget(i_e, {2, 3}))
+    report = check_axiom(i_e, make_budget(i_e, {2, 3}), UJR)
     assert not report.satisfied
     assert report.witness == (0, frozenset({0, 1}))
 
@@ -44,29 +43,29 @@ def test_ujr_violation_on_i_e(i_e):
 def test_ujr_rational_threshold_just_below():
     # n=5, limit=2: a deprived pair fails 2*2 >= 5.
     inst = Instance([1, 1, 1], [{0}, {0}, {1}, {1}, {2}], 2)
-    report = check_ujr(inst, make_budget(inst, {1, 2}))
+    report = check_axiom(inst, make_budget(inst, {1, 2}), UJR)
     assert report.satisfied
 
 
 def test_strong_bjr_equals_ujr_with_positive_costs(i_e):
     budget = make_budget(i_e, {2, 3})
-    strong = check_strong_bjr(i_e, budget)
-    basic = check_ujr(i_e, budget)
+    strong = check_axiom(i_e, budget, STRONG_BJR)
+    basic = check_axiom(i_e, budget, UJR)
     assert (strong.satisfied, strong.witness) == (basic.satisfied, basic.witness)
 
 
 def test_strong_bjr_zero_cost_funding_does_not_count():
     inst = Instance([1, 0], [{1}, {1}], 1, allow_zero_cost=True)
     budget = make_budget(inst, {1})
-    assert check_ujr(inst, budget).satisfied
-    report = check_strong_bjr(inst, budget)
+    assert check_axiom(inst, budget, UJR).satisfied
+    report = check_axiom(inst, budget, STRONG_BJR)
     assert not report.satisfied
     assert report.witness == (1, frozenset({0, 1}))
 
 
 def test_axiom_checks_reject_infeasible_budget(i_b):
     with pytest.raises(ContractError):
-        check_ujr(i_b, make_budget(i_b, {0, 1}))
+        check_axiom(i_b, make_budget(i_b, {0, 1}), UJR)
 
 
 def test_check_axiom_rejects_unknown_name(i_a):
@@ -91,7 +90,7 @@ def test_oracle_singleton_voter_empty_budget():
     inst = Instance([1], [{0}], 1)
     budget = make_budget(inst, set())
     assert not naive_axiom_oracle(inst, budget, UJR).satisfied
-    assert not check_ujr(inst, budget).satisfied
+    assert not check_axiom(inst, budget, UJR).satisfied
 
 
 def test_oracle_refuses_many_voters():
@@ -120,8 +119,8 @@ def test_checkers_match_oracle_on_random_batches():
         else:
             inst = _zero_cost_instance(rng)
         budget = random_feasible_budget(rng, inst)
-        for axiom, checker in ((UJR, check_ujr), (STRONG_BJR, check_strong_bjr)):
-            fast = checker(inst, budget)
+        for axiom in AXIOMS:
+            fast = check_axiom(inst, budget, axiom)
             slow = naive_axiom_oracle(inst, budget, axiom)
             assert fast.satisfied == slow.satisfied, (inst, sorted(budget.selected))
             assert verify_witness(inst, budget, fast)
@@ -154,8 +153,8 @@ def instance_and_budget(draw):
 @given(instance_and_budget())
 def test_strong_bjr_implies_ujr(pair):
     inst, budget = pair
-    if check_strong_bjr(inst, budget).satisfied:
-        assert check_ujr(inst, budget).satisfied
+    if check_axiom(inst, budget, STRONG_BJR).satisfied:
+        assert check_axiom(inst, budget, UJR).satisfied
 
 
 @settings(max_examples=120, deadline=None)
@@ -168,13 +167,13 @@ def test_raising_limit_never_repairs_a_violation(pair, extra):
         inst.limit + extra,
         rankings=inst.rankings,
     )
-    if not check_ujr(inst, budget).satisfied:
-        assert not check_ujr(relaxed, budget).satisfied
+    if not check_axiom(inst, budget, UJR).satisfied:
+        assert not check_axiom(relaxed, budget, UJR).satisfied
 
 
 @settings(max_examples=120, deadline=None)
 @given(instance_and_budget())
 def test_witnesses_reverify(pair):
     inst, budget = pair
-    for checker in (check_ujr, check_strong_bjr):
-        assert verify_witness(inst, budget, checker(inst, budget))
+    for axiom in AXIOMS:
+        assert verify_witness(inst, budget, check_axiom(inst, budget, axiom))

@@ -447,7 +447,14 @@ def test_experiment_and_plot_data_round_trip(tmp_path, capsys):
     lines = results.read_text().splitlines()
     assert lines[0] == "trial_count,case,rule,probability_pct,elapsed_ms"
     assert len(lines) == 1 + 2 * 4  # two counts x (3 equal rules + 1 general)
-    capsys.readouterr()
+    wrote, table = capsys.readouterr().out.split("\n\n")
+    assert wrote.splitlines() == [
+        f"wrote {out_dir / name}" for name in ("results.csv", "plot_equal.csv", "plot_general.csv")
+    ]
+    header, *rows = (line.split() for line in table.splitlines())
+    assert header == ["trials", "equal/sccr", "equal/smr", "equal/stv", "general/sccr"]
+    pct = [line.split(",")[3] for line in lines[1:]]
+    assert rows == [["4", *pct[:4]], ["9", *pct[4:]]]
 
     replot = tmp_path / "replot"
     assert main(["plot-data", "--results", str(results), "--out-dir", str(replot)]) == 0
@@ -492,7 +499,10 @@ BAD_ROWS = {
     "a:b": "5,a:b,sccr,40.00,0",
     "a/b": "5,a/b,sccr,40.00,0",
     "count-zero": "0,a,sccr,40.00,0",
+    "count-underscore": "5_0,a,sccr,40.00,0",
+    "count-space": " 7,a,sccr,40.00,0",
     "elapsed-negative": "5,a,sccr,40.00,-1",
+    "elapsed-plus": "5,a,sccr,40.00,+3",
     **{
         f"probability-{prob}": f"5,a,sccr,{prob},0"
         for prob in ("NaN", "sNaN", "Infinity", "-5", "100.01", "1e1")
@@ -511,6 +521,26 @@ def test_plot_data_rejects_unsafe_case_names(row, tmp_path, capsys):
     assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid-input:")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--config", "x", "--trial", "abc", "--out", "y"],
+        [],
+        ["run-rule", "--rule", "nope", "--instance", "x"],
+        ["gen", "--config", "x", "--trial", "1", "--out", "y", "a\nb"],
+    ],
+    ids=["gen-trial-not-int", "no-command", "run-rule-unknown-rule", "unrecognized-newline"],
+)
+def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: usage: "), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_runs():

@@ -15,18 +15,15 @@ from pbelect.core import (
     ValidationError,
     budget_from_dict,
     budget_to_dict,
-    coverage,
     instance_from_dict,
     instance_to_dict,
     is_exhaustive,
     is_feasible,
     make_budget,
-    prefix_coherent,
     validate_assignment,
-    voter_satisfied,
 )
 
-from conftest import random_costed_instance
+from conftest import coverage, prefix_coherent, random_costed_instance
 
 
 # --- total_cost ---------------------------------------------------------------
@@ -86,14 +83,7 @@ def test_exhaustive_rejects_infeasible_budget(i_b):
         is_exhaustive(i_b, make_budget(i_b, {0, 1}))
 
 
-# --- satisfaction and coverage ------------------------------------------------------
-
-def test_voter_satisfied_membership(i_a):
-    budget = make_budget(i_a, {0, 1})
-    assert voter_satisfied(frozenset({0}), budget)
-    assert not voter_satisfied(frozenset({2}), budget)
-    assert voter_satisfied(frozenset({1, 2}), budget)
-
+# --- coverage (the tests' helper) ------------------------------------------------------
 
 def test_coverage_hand_count(i_a):
     assert coverage(i_a, make_budget(i_a, {0, 1})) == 3

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pbelect.core import ValidationError, prefix_coherent
+from pbelect.core import ValidationError
 from pbelect.culture import (
     BERNOULLI,
     BUDGET,
@@ -21,6 +21,8 @@ from pbelect.culture import (
     general_case_culture,
     generate,
 )
+
+from conftest import prefix_coherent
 
 
 # --- seed derivation --------------------------------------------------------------

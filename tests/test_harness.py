@@ -27,6 +27,8 @@ from pbelect.harness import (
     write_results_csv,
 )
 
+from conftest import probability
+
 
 def small_config(**overrides) -> ExperimentConfig:
     settings = {
@@ -115,8 +117,8 @@ def test_cases_are_any_name_checked_against_rule_capabilities():
         CaseConfig("general", ("smr",), CultureConfig()),
         CaseConfig("mixed_2", ("stv", "sccr"), CultureConfig(limit_model="budget")),
     )
-    result = run_experiment(small_config(cases=cases, trial_counts=(4,)))
-    assert [(row.case, row.rule) for row in result.rows] == [
+    rows = run_experiment(small_config(cases=cases, trial_counts=(4,)))
+    assert [(row.case, row.rule) for row in rows] == [
         ("general", "smr"), ("mixed_2", "stv"), ("mixed_2", "sccr"),
     ]
     uniform = CultureConfig(cost_model=UNIFORM, limit_model="budget")
@@ -165,16 +167,16 @@ def test_probability_rendering(satisfied, count, expected):
 # --- running ---------------------------------------------------------------------
 
 def test_row_shape_and_bounds():
-    result = run_experiment(small_config())
-    assert len(result.rows) == 2 * (3 + 1)
-    for row in result.rows:
+    rows = run_experiment(small_config())
+    assert len(rows) == 2 * (3 + 1)
+    for row in rows:
         assert Decimal("0") <= Decimal(row.probability_pct) <= Decimal("100")
         assert row.elapsed_ms == 0  # timing off by default
 
 
 def test_rows_nest_across_trial_counts():
     config = small_config()
-    result = run_experiment(config)
+    rows = run_experiment(config)
     for case, rules in (("equal", ("sccr", "smr", "stv")), ("general", ("sccr",))):
         for rule in rules:
             verdicts = [
@@ -183,7 +185,7 @@ def test_rows_nest_across_trial_counts():
             ]
             for count in (5, 12):
                 expected = Decimal(100 * sum(verdicts[:count])) / Decimal(count)
-                got = result.probability(case, rule, count)
+                got = probability(rows, case, rule, count)
                 assert abs(got - expected) <= Decimal("0.005")
 
 
@@ -225,15 +227,15 @@ def test_one_pool_for_the_whole_study_and_none_when_serial(workers, pools, monke
 
 def test_timing_mode_fills_elapsed():
     config = small_config(record_timing=True, trial_counts=(5,))
-    result = run_experiment(config)
-    assert all(row.elapsed_ms >= 0 for row in result.rows)
+    rows = run_experiment(config)
+    assert all(row.elapsed_ms >= 0 for row in rows)
 
 
 def test_master_seed_changes_general_outcomes():
     probs = set()
     for seed in range(6):
-        result = run_experiment(small_config(master_seed=seed, trial_counts=(12,)))
-        probs.add(result.probability("general", "sccr", 12))
+        rows = run_experiment(small_config(master_seed=seed, trial_counts=(12,)))
+        probs.add(probability(rows, "general", "sccr", 12))
     assert len(probs) > 1
 
 
@@ -270,9 +272,9 @@ def test_trial_failure_reports_replay_coordinates(monkeypatch):
 # --- CSV emission -----------------------------------------------------------------
 
 def test_results_csv_round_trip(tmp_path):
-    result = run_experiment(small_config())
-    path = write_results_csv(result, tmp_path / "results.csv")
-    assert results_from_csv(path) == result
+    rows = run_experiment(small_config())
+    path = write_results_csv(rows, tmp_path / "results.csv")
+    assert results_from_csv(path) == rows
 
 
 def test_atomic_write_keeps_umask_mode(tmp_path):
@@ -295,8 +297,8 @@ def test_results_csv_rejects_bad_header(tmp_path):
 
 def test_plot_data_shape(tmp_path):
     config = default_experiment_config(trial_counts=(2, 3, 4, 5, 6, 7))
-    result = run_experiment(config)
-    paths = emit_plot_data(result, tmp_path)
+    rows = run_experiment(config)
+    paths = emit_plot_data(rows, tmp_path)
     names = sorted(p.name for p in paths)
     assert names == ["plot_equal.csv", "plot_general.csv"]
     equal_lines = (tmp_path / "plot_equal.csv").read_text().splitlines()
@@ -309,7 +311,5 @@ def test_plot_data_shape(tmp_path):
 
 
 def test_plot_data_refuses_empty_result(tmp_path):
-    from pbelect.harness import ExperimentResult
-
     with pytest.raises(ContractError):
-        emit_plot_data(ExperimentResult(()), tmp_path)
+        emit_plot_data((), tmp_path)

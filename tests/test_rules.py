@@ -16,7 +16,6 @@ from pbelect.core import (
     ContractError,
     Instance,
     ValidationError,
-    coverage,
     is_exhaustive,
     is_feasible,
     validate_assignment,
@@ -31,7 +30,7 @@ from pbelect.rules import (
     stv,
 )
 
-from conftest import random_unit_instance
+from conftest import coverage, random_unit_instance
 
 
 # --- coverage greedy ------------------------------------------------------------
@@ -250,6 +249,12 @@ def test_monroe_oracle_i_c(i_c):
 def test_monroe_oracle_refuses_k3(i_a):
     with pytest.raises(ContractError):
         brute_force_monroe_optimal(i_a, 3)
+
+
+def test_monroe_oracle_refuses_a_size_over_the_limit():
+    inst = Instance([2, 2, 2], [{0}, {1}, {2}], 3)
+    with pytest.raises(ContractError, match="no feasible budget of size 2"):
+        brute_force_monroe_optimal(inst, 2)
 
 
 def test_monroe_oracle_beats_single_order_greedy():

@@ -39,12 +39,17 @@ from pbelect.rules import (
     TraceEntry,
     _check_mode,
     _quota_value,
-    _voter_score,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
     stv,
 )
+
+
+def _voter_score(instance, mode, project, voter):
+    if mode == APPROVAL:
+        return 1 if project in instance.ballots[voter] else 0
+    return instance.m - instance.rankings[voter].index(project)
 
 
 # --- reference smr --------------------------------------------------------------
@@ -180,7 +185,7 @@ def ref_sccr(instance, mode=APPROVAL):
             if mode == APPROVAL:
                 score = len(approvers[p] & unsatisfied)
             else:
-                score = sum(instance.m - instance.positions[v][p] for v in unsatisfied)
+                score = sum(_voter_score(instance, mode, p, v) for v in unsatisfied)
             if score > best_score:
                 best, best_score = p, score
         if best < 0:
