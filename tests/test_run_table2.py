@@ -1,7 +1,9 @@
-"""scripts/run_table2.py end to end: the CSV it writes and the table it prints."""
+"""Running the Table 2 study end to end with ``pbelect experiment``: the CSV it
+writes, the table it prints, and the arguments it refuses."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,47 +12,59 @@ from pathlib import Path
 import pytest
 
 import pbelect
-from pbelect.harness import default_experiment_config, run_experiment, write_results_csv
+from pbelect.harness import (
+    default_experiment_config,
+    experiment_config_to_dict,
+    run_experiment,
+    write_results_csv,
+)
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_table2.py"
 
-
-def run_script(*args: str) -> subprocess.CompletedProcess:
+def run_experiment_command(tmp_path: Path, config: dict | None, *args: str) -> subprocess.CompletedProcess:
+    """``python -m pbelect experiment`` in a fresh process, with ``config``
+    written to a JSON file and passed as ``--config`` when given."""
+    if config is not None:
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config))
+        args = ("--config", str(path), *args)
     src = str(Path(pbelect.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "pbelect", "experiment", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
 def test_writes_the_study_csv_and_one_table_row_per_count(tmp_path):
-    proc = run_script("--counts", "5", "--out-dir", str(tmp_path / "out"))
-    assert proc.returncode == 0, proc.stderr
     config = default_experiment_config(0, (5,))
-    result = run_experiment(config)
-    expected = write_results_csv(result, tmp_path / "expected.csv")
+    proc = run_experiment_command(
+        tmp_path, experiment_config_to_dict(config), "--out-dir", str(tmp_path / "out")
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = run_experiment(config)
+    expected = write_results_csv(rows, tmp_path / "expected.csv")
     assert (tmp_path / "out" / "results.csv").read_bytes() == expected.read_bytes()
-    header, *rows = proc.stdout.split("\n\n")[0].splitlines()
+    header, *lines = proc.stdout.split("\n\n")[1].splitlines()
     columns = [(case.name, rule) for case in config.cases for rule in case.rules]
     assert header.split() == ["trials"] + [f"{case}/{rule}" for case, rule in columns]
-    assert [row.split() for row in rows] == [
-        ["5"] + [str(result.probability(case, rule, 5)) for case, rule in columns]
-    ]
+    assert [line.split() for line in lines] == [["5"] + [row.probability_pct for row in rows]]
+    assert [(row.case, row.rule) for row in rows] == columns
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "trial_counts, args, message",
     [
-        (("--counts", "5", "--workers", "0"), "workers must be a positive integer"),
-        (("--counts", "0"), "every trial count must be a positive integer"),
-        (("--counts", "5", "5"), "trial_counts repeats a value"),
+        ((5,), ("--workers", "0"), "workers must be a positive integer"),
+        ((0,), (), "every trial count must be a positive integer"),
+        ((5, 5), (), "trial_counts repeats a value"),
     ],
     ids=["workers-zero", "count-zero", "count-repeated"],
 )
-def test_invalid_arguments_are_usage_errors(args, message, tmp_path):
-    proc = run_script(*args, "--out-dir", str(tmp_path / "out"))
-    assert proc.returncode == 2
-    assert f"error: {message}" in proc.stderr.splitlines()[-1]
-    assert "Traceback" not in proc.stderr
+def test_invalid_arguments_are_usage_errors(trial_counts, args, message, tmp_path):
+    config = experiment_config_to_dict(default_experiment_config(0, (5,)))
+    config["trial_counts"] = list(trial_counts)
+    proc = run_experiment_command(tmp_path, config, *args, "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: invalid-input: {message}")
     assert not (tmp_path / "out").exists()
