@@ -38,9 +38,11 @@ class AxiomReport:
         return data
 
 
-def _check_axiom_name(axiom: str) -> None:
+def _check_request(instance: Instance, budget: Budget, axiom: str) -> None:
     if axiom not in AXIOMS:
         raise ValidationError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
+    if not is_feasible(instance, budget):
+        raise ContractError("axiom checks require a feasible budget")
 
 
 def _represented(instance: Instance, budget: Budget, axiom: str) -> int:
@@ -54,9 +56,10 @@ def _represented(instance: Instance, budget: Budget, axiom: str) -> int:
     return represented
 
 
-def _scan(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
-    if not is_feasible(instance, budget):
-        raise ContractError("axiom checks require a feasible budget")
+def check_axiom(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
+    """Every large-enough cohesive group must see some member's approval funded;
+    under STRONG_BJR only positive-cost funded projects represent a voter."""
+    _check_request(instance, budget, axiom)
     n, limit = instance.n, instance.limit
     represented = _represented(instance, budget, axiom)
     for p, mask in enumerate(instance.approver_masks):
@@ -64,13 +67,6 @@ def _scan(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
         if group.bit_count() * limit >= n:
             return AxiomReport(axiom, False, (p, frozenset(voter_ids(group))))
     return AxiomReport(axiom, True)
-
-
-def check_axiom(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
-    """Every large-enough cohesive group must see some member's approval funded;
-    under STRONG_BJR only positive-cost funded projects represent a voter."""
-    _check_axiom_name(axiom)
-    return _scan(instance, budget, axiom)
 
 
 def naive_axiom_oracle(
@@ -82,9 +78,7 @@ def naive_axiom_oracle(
     clear the threshold. Subsets containing a represented voter can never
     violate, so only deprived voters are combined; the verdict is unchanged.
     """
-    _check_axiom_name(axiom)
-    if not is_feasible(instance, budget):
-        raise ContractError("axiom checks require a feasible budget")
+    _check_request(instance, budget, axiom)
     if instance.n > max_voters:
         raise ContractError(
             f"oracle capped at {max_voters} voters, instance has {instance.n}"

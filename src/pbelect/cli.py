@@ -95,9 +95,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _given(args: argparse.Namespace, what: str, names: tuple[str, ...], takes: tuple = ()) -> dict:
+    """Options in ``names`` (default None) given; a usage error names any not in ``takes``."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    refused = [f"--{name.replace('_', '-')}" for name in given if name not in takes]
+    if refused:
+        raise _UsageError(f"{what} does not take {', '.join(refused)}")
+    return given
+
+
 def _cmd_run_rule(args: argparse.Namespace) -> int:
+    rule = RULES[args.rule]
+    options = _given(args, f"--rule {args.rule}", ("scoring", "quota", "k"), rule.options)
     instance = instance_from_dict(_load_json(args.instance))
-    budget, trace = RULES[args.rule].run(instance, args.scoring, args.quota, args.k)
+    budget, trace = rule.run(instance, **options)
     _emit(budget_to_dict(budget), args.out)
     if args.trace is not None:
         _emit(trace.to_dict(), args.trace)
@@ -113,6 +124,8 @@ def _cmd_check_axiom(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.replay is not None:
+        _given(args, "--replay", ("workers", "timing", "out_dir"))
     if args.config is None:
         config = default_experiment_config()
     else:
@@ -130,7 +143,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _emit(replay_trial(config, case_name, trial), None)
         return 0
     rows = run_experiment(config, workers=args.workers)
-    out_dir = Path(args.out_dir)
+    out_dir = Path("out" if args.out_dir is None else args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = write_results_csv(rows, out_dir / "results.csv")
     plot_paths = emit_plot_data(rows, out_dir)
@@ -155,9 +168,7 @@ def _print_table(rows: tuple[ResultRow, ...]) -> None:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     rows = results_from_csv(args.results)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in emit_plot_data(rows, out_dir):
+    for path in emit_plot_data(rows, args.out_dir):
         print(f"wrote {path}")
     return 0
 
@@ -192,9 +203,9 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run-rule", help="run a budgeting rule on an instance")
     run.add_argument("--rule", required=True, choices=tuple(RULES))
     run.add_argument("--instance", required=True, help="instance JSON file")
-    run.add_argument("--scoring", choices=(APPROVAL, BORDA), default=APPROVAL)
-    run.add_argument("--quota", choices=(HARE, DROOP), default=HARE)
-    run.add_argument("--k", type=int, default=None, help="stv committee size (default: from the limit)")
+    run.add_argument("--scoring", choices=(APPROVAL, BORDA), help="sccr, smr (default: approval)")
+    run.add_argument("--quota", choices=(HARE, DROOP), help="stv (default: hare)")
+    run.add_argument("--k", type=int, help="stv committee size (default: from the limit)")
     run.add_argument("--out", default=None, help="budget JSON file (default: stdout)")
     run.add_argument("--trace", default=None, help="also write the rule trace JSON here")
     run.set_defaults(handler=_cmd_run_rule)
@@ -208,10 +219,10 @@ def _build_parser() -> _Parser:
 
     experiment = sub.add_parser("experiment", help="run the satisfaction-probability study")
     experiment.add_argument("--config", default=None, help="experiment config JSON (default: built in)")
-    experiment.add_argument("--out-dir", default="out", help="directory for CSV outputs")
+    experiment.add_argument("--out-dir", help="directory for CSV outputs (default: out)")
     experiment.add_argument("--workers", type=int, default=None, help="parallel worker processes (N >= 1)")
     experiment.add_argument("--seed", type=int, default=None, help="override the master seed")
-    experiment.add_argument("--timing", action="store_true", help="record wall time per row")
+    experiment.add_argument("--timing", action="store_true", default=None, help="record wall time per row")
     experiment.add_argument(
         "--replay", default=None, metavar="CASE:TRIAL",
         help="re-run one trial and print its verdicts instead of the study",

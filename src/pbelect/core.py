@@ -34,8 +34,8 @@ def as_tuple(value: object, what: str) -> tuple:
 
 
 def _project_ids(value: object, m: int, voter: int | None = None) -> frozenset[int]:
-    """``value`` as a set of ids in 0..m-1: voter ``voter``'s ballot, or a
-    budget's selection when ``voter`` is None. ValidationError otherwise."""
+    """``value`` as a set of distinct ids in 0..m-1: voter ``voter``'s ballot, or
+    a budget's selection when ``voter`` is None. ValidationError otherwise."""
     if not isinstance(value, (list, tuple, set, frozenset)):
         raise _ids_error(voter, "must be a list of project ids")
     try:
@@ -45,6 +45,8 @@ def _project_ids(value: object, m: int, voter: int | None = None) -> frozenset[i
     for p in value:  # not the set, which keeps 1 and drops a later true or 1.0
         if type(p) is not int or not 0 <= p < m:
             raise _ids_error(voter, f"names unknown project {p!r}")
+    if len(ids) != len(value):
+        raise _ids_error(voter, "repeats a project id")
     return ids
 
 
@@ -54,8 +56,8 @@ def _ids_error(voter: int | None, problem: str) -> ValidationError:
 
 
 def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
-    """Every ballot as a non-empty set of ids in 0..m-1; ValidationError naming
-    the first bad voter otherwise.
+    """Every ballot as a non-empty set of distinct ids in 0..m-1; ValidationError
+    naming the first bad voter otherwise.
 
     A few C-level passes over all voters accept valid ballots. Anything else
     goes through the per-voter loop, which words the error; it checks every
@@ -69,7 +71,8 @@ def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
         # entry types over every ballot: the union would keep 1 and drop true
         if checked and all(checked) and set(map(type, chain.from_iterable(ballots))) <= {int}:
             ids = frozenset().union(*checked)
-            if min(ids) >= 0 and max(ids) < m:
+            distinct = sum(map(len, checked)) == sum(map(len, ballots))  # no ballot repeats an id
+            if distinct and min(ids) >= 0 and max(ids) < m:
                 return checked
     sets = []
     for v, ballot in enumerate(ballots):
@@ -301,17 +304,13 @@ def instance_from_dict(data: object) -> Instance:
     # types first: sorting equates true and 1.0 with 1
     if not all(type(p) is int for p in ids) or sorted(ids) != list(range(len(ids))):
         raise ValidationError("project ids must be exactly 0..m-1 without duplicates")
-    instance = Instance(
+    return Instance(
         [entry["cost"] for entry in sorted(entries, key=lambda entry: entry["id"])],
         data["ballots"],
         data["limit"],
         data.get("rankings"),
         data.get("allow_zero_cost", False),
     )
-    for i, (entry, ballot) in enumerate(zip(data["ballots"], instance.ballots)):
-        if len(entry) != len(ballot):
-            raise ValidationError(f"ballot {i} repeats a project id")
-    return instance
 
 
 def budget_to_dict(budget: Budget) -> dict:
@@ -325,8 +324,6 @@ def budget_from_dict(instance: Instance, data: object) -> Budget:
     """
     data = json_object(data, "budget", ("selected",), ("total_cost",))
     budget = make_budget(instance, data["selected"])
-    if len(data["selected"]) != len(budget.selected):
-        raise ValidationError("'selected' repeats a project id")
     stated = data.get("total_cost", budget.total_cost)
     if type(stated) is not int or stated != budget.total_cost:
         raise ValidationError(

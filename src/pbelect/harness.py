@@ -10,15 +10,14 @@ output; it reads 0 when timing is off.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from .axioms import AXIOMS, UJR, check_axiom
@@ -49,10 +48,6 @@ PLOT_HEADER = ("trial_count", "rule", "probability")
 
 # A case name becomes part of plot_<case>.csv, a CSV field and --replay CASE:TRIAL.
 _CASE_NAME = re.compile(r"[A-Za-z0-9_-]+")
-# A count, a time and a probability as this module writes them: plain decimal
-# digits, no sign, space, underscore or exponent.
-_COUNT = re.compile(r"[0-9]+")
-_PERCENT = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 def _check_case_name(name: object) -> None:
@@ -109,8 +104,7 @@ class ExperimentConfig:
             raise ValidationError("at least one case is required")
         if not all(isinstance(case, CaseConfig) for case in self.cases):
             raise ValidationError("every case must be a CaseConfig")
-        if type(self.master_seed) is not int:
-            raise ValidationError("master_seed must be an integer")
+        # each case's CultureConfig checks master_seed
         object.__setattr__(self, "cases", tuple(
             replace(case, culture=replace(case.culture, master_seed=self.master_seed))
             for case in self.cases
@@ -131,6 +125,23 @@ class ResultRow:
     rule: str
     probability_pct: str
     elapsed_ms: int
+
+    def __post_init__(self) -> None:
+        if type(self.trial_count) is not int or self.trial_count < 1:
+            raise ValidationError(f"trial_count {self.trial_count!r} is not a positive integer")
+        _check_case_name(self.case)
+        if self.rule not in RULES:
+            raise ValidationError(f"unknown rule {self.rule!r}; expected one of {tuple(RULES)}")
+        # a rendering is within 0.005 of 100k/count: the k nearest pct * count / 100 will do
+        try:
+            share = Decimal(self.probability_pct) * self.trial_count / 100
+            k = int(share.to_integral_value()) if 0 <= share <= self.trial_count else -1
+        except (ArithmeticError, TypeError, ValueError):  # not a decimal, or NaN
+            k = -1
+        if k < 0 or _format_probability(k, self.trial_count) != self.probability_pct:
+            raise ValidationError(f"probability {self.probability_pct!r} is not k/{self.trial_count} in %")
+        if type(self.elapsed_ms) is not int or self.elapsed_ms < 0:
+            raise ValidationError(f"elapsed_ms {self.elapsed_ms!r} is not a non-negative integer")
 
 
 def default_experiment_config(
@@ -253,15 +264,14 @@ def atomic_write_text(path: Path | str, text: str) -> Path:
     return path
 
 
+def _csv_line(fields: tuple) -> str:
+    """One CSV line: no field this module writes holds a comma, quote or newline."""
+    return ",".join(map(str, fields)) + "\n"
+
+
 def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULTS_HEADER)
-    for row in rows:
-        writer.writerow(
-            (row.trial_count, row.case, row.rule, row.probability_pct, row.elapsed_ms)
-        )
-    return atomic_write_text(path, buf.getvalue())
+    text = _csv_line(RESULTS_HEADER) + "".join([_csv_line(astuple(row)) for row in rows])
+    return atomic_write_text(path, text)
 
 
 def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
@@ -272,53 +282,40 @@ def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for case in dict.fromkeys(row.case for row in rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(PLOT_HEADER)
-        for row in rows:
-            if row.case == case:
-                writer.writerow((row.trial_count, row.rule, row.probability_pct))
-        written.append(atomic_write_text(out_dir / f"plot_{case}.csv", buf.getvalue()))
+        series = sorted([row for row in rows if row.case == case], key=attrgetter("trial_count"))
+        text = _csv_line(PLOT_HEADER) + "".join(
+            [_csv_line((row.trial_count, row.rule, row.probability_pct)) for row in series]
+        )
+        written.append(atomic_write_text(out_dir / f"plot_{case}.csv", text))
     return written
 
 
 def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:
+    """The rows of a results CSV exactly as ``write_results_csv`` writes one."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")  # not read_text: it turns \r\n into \n
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValidationError("results CSV is empty") from None
-    if header != RESULTS_HEADER:
+    if not text.endswith("\n"):
+        raise ValidationError("results CSV does not end with a newline")
+    header, *lines = text[:-1].split("\n")
+    if header + "\n" != _csv_line(RESULTS_HEADER):
         raise ValidationError(f"unexpected results CSV header {header!r}")
-    rows = []
-    seen: set[tuple[int, str, str]] = set()
-    for lineno, record in enumerate(reader, start=2):
-        if len(record) != len(RESULTS_HEADER):
-            raise ValidationError(f"line {lineno}: expected {len(RESULTS_HEADER)} fields")
-        count_s, case, rule, prob, elapsed_s = record
-        try:
-            _check_case_name(case)
-            if not (_COUNT.fullmatch(count_s) and _COUNT.fullmatch(elapsed_s)):
-                raise ValidationError("trial_count and elapsed_ms must be plain decimal digits")
-            count = int(count_s)
-            elapsed = int(elapsed_s)
-        except ValueError as exc:  # int() refuses more digits than sys.get_int_max_str_digits()
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-        if count < 1:
-            raise ValidationError(f"line {lineno}: needs trial_count >= 1")
-        if not (_PERCENT.fullmatch(prob) and Decimal(prob) <= 100):
-            raise ValidationError(f"line {lineno}: probability {prob!r} is not a percentage in [0, 100]")
-        if rule not in RULES:
-            raise ValidationError(f"line {lineno}: unknown rule {rule!r}; expected one of {tuple(RULES)}")
-        if (count, case, rule) in seen:
-            raise ValidationError(f"line {lineno}: repeats the row for ({count}, {case}, {rule})")
-        seen.add((count, case, rule))
-        rows.append(ResultRow(count, case, rule, prob, elapsed))
-    return tuple(rows)
+    if not lines:
+        raise ValidationError("results CSV has no rows")
+    rows: dict[tuple[int, str, str], ResultRow] = {}
+    for lineno, line in enumerate(lines, start=2):
+        try:  # a wrong field count, a bad int() and a ValidationError are ValueErrors
+            count, case, rule, prob, elapsed = line.split(",")
+            row = ResultRow(int(count), case, rule, prob, int(elapsed))
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        if _csv_line(astuple(row)) != line + "\n":
+            raise ValidationError(f"line {lineno}: {line!r} is not written as {_csv_line(astuple(row))!r}")
+        if (row.trial_count, case, rule) in rows:
+            raise ValidationError(f"line {lineno}: repeats the row for ({row.trial_count}, {case}, {rule})")
+        rows[row.trial_count, case, rule] = row
+    return tuple(rows.values())
 
 
 # --- config (de)serialization ------------------------------------------------------

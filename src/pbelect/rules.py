@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
@@ -43,7 +43,6 @@ DROOP = "droop"
 
 @dataclass(frozen=True)
 class TraceEntry:
-    iteration: int
     project: int
     score: int | Fraction
     voters: frozenset[int]
@@ -55,19 +54,19 @@ class RuleTrace:
 
     rule: str
     entries: tuple[TraceEntry, ...]
-    assignment: Assignment | None = None  # set on smr runs made through RULES
+    assignment: Assignment | None = None  # set by smr
 
     def to_dict(self) -> dict:
         data: dict = {
             "rule": self.rule,
             "entries": [
                 {
-                    "iteration": e.iteration,
+                    "iteration": i,
                     "project": e.project,
                     "score": _score_json(e.score),
                     "voters": sorted(e.voters),
                 }
-                for e in self.entries
+                for i, e in enumerate(self.entries, start=1)
             ],
         }
         if self.assignment is not None:
@@ -129,7 +128,6 @@ def seq_chamberlin_courant(
     chosen: set[int] = set()
     spent = 0
     entries: list[TraceEntry] = []
-    iteration = 0
     while True:
         slack = instance.limit - spent
         if mode == BORDA:
@@ -147,10 +145,9 @@ def seq_chamberlin_courant(
                 best, best_score = p, score
         if best < 0:
             break
-        iteration += 1
         newly = masks[best] & unsatisfied
         voters = frozenset(voter_ids(newly))
-        entries.append(TraceEntry(iteration, best, best_score, voters))
+        entries.append(TraceEntry(best, best_score, voters))
         chosen.add(best)
         spent += instance.costs[best]
         unsatisfied ^= newly
@@ -174,6 +171,13 @@ def _uniform_cost(instance: Instance) -> int:
 def committee_size(instance: Instance) -> int:
     """Selections an equal-cost instance affords: limit // unit, capped at m."""
     return min(instance.limit // _uniform_cost(instance), instance.m)
+
+
+def _check_committee(instance: Instance, k: object) -> None:
+    if type(k) is not int or k < 1:
+        raise ValidationError("k must be a positive integer")
+    if k > instance.m:
+        raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
 
 
 def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
@@ -243,10 +247,10 @@ def _assignment_entries(
     for v, p in rep.items():
         grouped[p].append(v)
     entries = []
-    for i, p in enumerate(sorted(ids), start=1):
+    for p in sorted(ids):
         voters = grouped[p]
         total = sum(scores[p][v] for v in voters)
-        entries.append(TraceEntry(i, p, total, frozenset(voters)))
+        entries.append(TraceEntry(p, total, frozenset(voters)))
     return tuple(entries)
 
 
@@ -273,16 +277,15 @@ def _best_small_budget(scores: list[list[int]], k: int, capacity: int) -> tuple[
     return best
 
 
-def seq_monroe(
-    instance: Instance, mode: ScoringMode = APPROVAL
-) -> tuple[Budget, Assignment, RuleTrace]:
+def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget, RuleTrace]:
     """Assignment greedy for equal-cost instances.
 
     With k = limit // unit selections and capacity ceil(n/k): each iteration
     scores every unselected project by the summed scores of its top-capacity
     unassigned voters, funds the best project, and assigns exactly those
     voters to it (fewer if fewer remain). For k <= 2 the enumerated optimum
-    replaces the greedy and the returned assignment is exactly optimal.
+    replaces the greedy and the assignment is exactly optimal. The trace
+    carries the assignment.
 
     Unassigned voters are a bitmask. Under approval scoring a project's top
     voters are its unassigned approvers and then other unassigned voters, each
@@ -299,7 +302,7 @@ def seq_monroe(
         ids = _best_small_budget(scores, k, cap)
         rep, _ = _best_assignment(scores, ids, cap)
         entries = _assignment_entries(scores, ids, rep)
-        return make_budget(instance, ids), Assignment(rep, cap), RuleTrace("smr", entries)
+        return make_budget(instance, ids), RuleTrace("smr", entries, Assignment(rep, cap))
 
     n = instance.n
     masks = instance.approver_masks
@@ -311,7 +314,7 @@ def seq_monroe(
     remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
     rep: dict[int, int] = {}
     entries = []
-    for iteration in range(1, k + 1):
+    for _ in range(k):
         if mode == APPROVAL:
             best = max(remaining, key=lambda p: min(cap, (masks[p] & unassigned).bit_count()))
             top = list(itertools.islice(voter_ids(masks[best] & unassigned), cap))
@@ -327,13 +330,13 @@ def seq_monroe(
             totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
             best = max(remaining, key=totals.__getitem__)
             top, total = tops[best], totals[best]
-        entries.append(TraceEntry(iteration, best, total, frozenset(top)))
+        entries.append(TraceEntry(best, total, frozenset(top)))
         remaining.remove(best)
         for v in top:
             rep[v] = best
             unassigned ^= 1 << v
     chosen = [entry.project for entry in entries]
-    return make_budget(instance, chosen), Assignment(rep, cap), RuleTrace("smr", tuple(entries))
+    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
 
 
 # --- single transferable vote ---------------------------------------------------
@@ -352,8 +355,11 @@ def _quota_value(n: int, k: int, quota: object) -> Fraction:
     return q
 
 
-def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleTrace]:
-    """Weighted single transferable vote over full rankings.
+def stv(
+    instance: Instance, k: int | None = None, quota: object = HARE
+) -> tuple[Budget, RuleTrace]:
+    """Weighted single transferable vote over full rankings, electing k
+    candidates, by default ``committee_size(instance)``.
 
     Voters start with weight 1. Each round tallies weighted first-place
     support among still-active candidates. If enough remain only to fill the
@@ -368,13 +374,12 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
     the quota test is ``support * qd >= qn * den`` for quota ``qn / qd``. Only
     the supporters of a removed candidate move on to their next choice.
     """
+    if k is None:
+        k = committee_size(instance)
     rankings = instance.rankings
     if rankings is None:
         raise ConfigurationError("stv requires rankings on the instance")
-    if type(k) is not int or k < 1:
-        raise ValidationError("k must be a positive integer")
-    if k > instance.m:
-        raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
+    _check_committee(instance, k)
     n = instance.n
     q = _quota_value(n, k, quota)
     qn, qd = q.numerator, q.denominator
@@ -399,7 +404,7 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
         if len(elected) + len(active) == k:
             for c in sorted(active):
                 score = Fraction(support[c], den)
-                entries.append(TraceEntry(len(entries) + 1, c, score, frozenset(supporters[c])))
+                entries.append(TraceEntry(c, score, frozenset(supporters[c])))
                 elected.append(c)
             break
         winner = max(active, key=lambda c: (support[c], -c))
@@ -408,9 +413,7 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
             active.remove(winner)
             del support[winner]
             moving = supporters.pop(winner)
-            entries.append(
-                TraceEntry(len(entries) + 1, winner, Fraction(total, den), frozenset(moving))
-            )
+            entries.append(TraceEntry(winner, Fraction(total, den), frozenset(moving)))
             elected.append(winner)
             scale = total * qd
             keep = scale - qn * den
@@ -439,34 +442,34 @@ def stv(instance: Instance, k: int, quota: object = HARE) -> tuple[Budget, RuleT
 
 # --- registry --------------------------------------------------------------------
 
-def _run_sccr(instance, scoring=APPROVAL, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
+def _run_sccr(instance, *, scoring=APPROVAL) -> tuple[Budget, RuleTrace]:
     return seq_chamberlin_courant(instance, scoring)
 
 
-def _run_smr(instance, scoring=APPROVAL, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
-    budget, assignment, trace = seq_monroe(instance, scoring)
-    return budget, replace(trace, assignment=assignment)
+def _run_smr(instance, *, scoring=APPROVAL) -> tuple[Budget, RuleTrace]:
+    return seq_monroe(instance, scoring)
 
 
-def _run_stv(instance, scoring=APPROVAL, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
-    return stv(instance, committee_size(instance) if k is None else k, quota)
+def _run_stv(instance, *, quota=HARE, k=None) -> tuple[Budget, RuleTrace]:
+    return stv(instance, k, quota)
 
 
 @dataclass(frozen=True)
 class Rule:
-    """``run(instance, scoring, quota, k) -> (budget, trace)`` plus what the rule
-    needs of an instance. Runners ignore arguments their rule does not take and call
-    it by its module-global name, so swapping that global (to trace it) reaches them."""
+    """``run(instance, **options) -> (budget, trace)``, the keyword ``options``
+    it takes, and what the rule needs of an instance. Runners call their rule by
+    its module-global name, so swapping that global (to trace it) reaches them."""
 
     run: Callable[..., tuple[Budget, RuleTrace]]
+    options: tuple[str, ...]
     needs_unit_cost: bool = False
     needs_rankings: bool = False
 
 
 RULES: dict[str, Rule] = {
-    "sccr": Rule(_run_sccr),
-    "smr": Rule(_run_smr, needs_unit_cost=True),
-    "stv": Rule(_run_stv, needs_unit_cost=True, needs_rankings=True),
+    "sccr": Rule(_run_sccr, ("scoring",)),
+    "smr": Rule(_run_smr, ("scoring",), needs_unit_cost=True),
+    "stv": Rule(_run_stv, ("quota", "k"), needs_unit_cost=True, needs_rankings=True),
 }
 
 
@@ -511,10 +514,7 @@ def brute_force_monroe_optimal(
     """Enumerate all size-k budgets with their optimal assignments (k <= 2 only)."""
     _check_mode(instance, mode)
     unit = _uniform_cost(instance)
-    if type(k) is not int or k < 1:
-        raise ValidationError("k must be a positive integer")
-    if k > instance.m:
-        raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
+    _check_committee(instance, k)
     if k > 2:
         raise ContractError("optimal assignment search is only available for k <= 2")
     if k * unit > instance.limit:

@@ -177,7 +177,8 @@ def test_criterion_5_greedy_bound_and_small_k_optimality():
         k = committee_size(instance)
         if k <= 2:
             small_k_checked += 1
-            budget, assignment, _ = seq_monroe(instance)
+            budget, trace = seq_monroe(instance)
+            assignment = trace.assignment
             o_budget, o_assignment, _ = brute_force_monroe_optimal(instance, k)
             if budget.selected != o_budget.selected or dict(assignment.rep) != dict(
                 o_assignment.rep
@@ -207,7 +208,8 @@ def test_criterion_6_feasibility_exhaustiveness_capacity(full_run):
             if not is_exhaustive(instance, cc_budget):
                 non_exhaustive += 1
             if case.name == "equal":
-                m_budget, assignment, _ = seq_monroe(instance)
+                m_budget, trace = seq_monroe(instance)
+                assignment = trace.assignment
                 if not is_feasible(instance, m_budget):
                     infeasible += 1
                 try:
@@ -281,7 +283,8 @@ def test_criterion_8_hand_traced_fixtures():
 
     # I_C: both projects funded, each representing its two approvers.
     i_c = Instance([1, 1], [{0}, {0}, {1}, {1}], 2)
-    budget, assignment, _ = seq_monroe(i_c)
+    budget, trace = seq_monroe(i_c)
+    assignment = trace.assignment
     if sorted(budget.selected) != [0, 1] or dict(assignment.rep) != {0: 0, 1: 0, 2: 1, 3: 1}:
         failures.append("I_C")
     if brute_force_monroe_optimal(i_c, 2)[2] != 4:

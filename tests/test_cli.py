@@ -177,13 +177,8 @@ def _sccr_direct(instance):
 
 
 def _smr_direct(instance):
-    budget, assignment, trace = seq_monroe(instance)
-    payload = trace.to_dict()
-    payload["assignment"] = {
-        "capacity": assignment.capacity,
-        "rep": {str(v): p for v, p in sorted(assignment.rep.items())},
-    }
-    return budget, payload
+    budget, trace = seq_monroe(instance)
+    return budget, trace.to_dict()
 
 
 def _stv_direct(instance):
@@ -198,6 +193,8 @@ def test_rule_choices_are_the_registry():
     subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     rule = next(a for a in subparsers.choices["run-rule"]._actions if a.dest == "rule")
     assert tuple(rule.choices) == tuple(RULES) == tuple(DIRECT)
+    options = {name: rule.options for name, rule in RULES.items()}
+    assert options == {"sccr": ("scoring",), "smr": ("scoring",), "stv": ("quota", "k")}
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -239,8 +236,30 @@ def test_parser_is_reused_without_keeping_options(tmp_path, capsys):
     assert len(run("--rule", "stv")) == committee_size(instance) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
     args = _build_parser().parse_args(["run-rule", "--rule", "sccr", "--instance", str(path)])
-    assert (args.scoring, args.k, args.trace, args.out) == (APPROVAL, None, None, None)
+    assert (args.scoring, args.k, args.trace, args.out) == (None, None, None, None)
     assert _build_parser() is _build_parser()
+
+
+# The five rule/option pairs that run-rule once accepted and ignored.
+REFUSED_OPTIONS = {
+    "sccr-quota": ("sccr", "--quota", "droop"),
+    "sccr-k": ("sccr", "--k", "99"),
+    "smr-quota": ("smr", "--quota", "hare"),
+    "smr-k": ("smr", "--k", "1"),
+    "stv-scoring": ("stv", "--scoring", "borda"),
+}
+
+
+@pytest.mark.parametrize("rule, option, value", list(REFUSED_OPTIONS.values()), ids=list(REFUSED_OPTIONS))
+def test_run_rule_rejects_options_the_rule_does_not_take(rule, option, value, tmp_path, capsys):
+    """Refused before the instance is read: the file does not even exist."""
+    out = tmp_path / "budget.json"
+    argv = ["run-rule", "--rule", rule, option, value, "--instance", str(tmp_path / "none.json")]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: usage: --rule {rule} does not take {option}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_rule_malformed_json(tmp_path, capsys):
@@ -293,13 +312,14 @@ def test_rule_and_axiom_outputs_are_indent2_json(fixture, request, tmp_path):
     inst = write_json(tmp_path / "inst.json", instance_to_dict(instance))
     budget_path, trace_path, report_path = (tmp_path / f"{k}.json" for k in ("b", "t", "r"))
     for rule, scoring in itertools.product(RULES, (APPROVAL, BORDA)):
+        options = {"scoring": scoring} if "scoring" in RULES[rule].options else {}
         try:
-            budget, trace = RULES[rule].run(instance, scoring)
+            budget, trace = RULES[rule].run(instance, **options)
         except ContractError:
             continue
         code = main([
-            "run-rule", "--rule", rule, "--scoring", scoring, "--instance", str(inst),
-            "--out", str(budget_path), "--trace", str(trace_path),
+            "run-rule", "--rule", rule, *(f"--{k}={v}" for k, v in options.items()),
+            "--instance", str(inst), "--out", str(budget_path), "--trace", str(trace_path),
         ])
         assert code == 0
         assert budget_path.read_bytes() == indent2(budget_to_dict(budget))
@@ -479,6 +499,20 @@ def test_experiment_rejects_bad_replay_spec(tmp_path, capsys):
     assert "CASE:TRIAL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, refused",
+    [(["--workers", "0"], "--workers"), (["--timing"], "--timing"), (["--out-dir", "o"], "--out-dir")],
+    ids=["workers", "timing", "out-dir"],
+)
+def test_experiment_replay_rejects_options_it_ignores(options, refused, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--replay", "equal:0", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: usage: --replay does not take {refused}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_rejects_invalid_config(tmp_path, capsys):
     config = write_json(tmp_path / "exp.json", {"trial_counts": [0], "cases": []})
     assert main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
@@ -507,6 +541,13 @@ BAD_ROWS = {
         f"probability-{prob}": f"5,a,sccr,{prob},0"
         for prob in ("NaN", "sNaN", "Infinity", "-5", "100.01", "1e1")
     },
+    "count-leading-zero": "05,a,sccr,40.00,0",
+    "probability-leading-zero": "5,a,sccr,040.00,0",
+    "elapsed-leading-zero": "5,a,sccr,40.00,00",
+    "all-leading-zeros": "05,a,sccr,040.00,00",
+    "count-quoted": '"5",a,sccr,40.00,0',
+    "probability-four-decimals": "3,a,sccr,33.3333,0",
+    "probability-impossible": "3,a,sccr,50.00,0",
     "rule-empty": "5,a,,40.00,0",
     "rule-unknown": "5,a,borda,40.00,0",
     "row-repeated": "5,a,sccr,40.00,0\n5,a,sccr,60.00,0",
@@ -521,6 +562,30 @@ def test_plot_data_rejects_unsafe_case_names(row, tmp_path, capsys):
     assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid-input:")
     assert not out_dir.exists()
+
+
+GOOD_RESULTS = "trial_count,case,rule,probability_pct,elapsed_ms\n5,a,sccr,40.00,0\n"
+BAD_RESULTS = {
+    "crlf": GOOD_RESULTS.replace("\n", "\r\n"),
+    "no-final-newline": GOOD_RESULTS[:-1],
+    "header-only": GOOD_RESULTS.split("\n")[0] + "\n",
+    "empty": "",
+    "blank-line": GOOD_RESULTS + "\n",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_RESULTS.values()), ids=list(BAD_RESULTS))
+def test_plot_data_reads_only_what_experiment_writes(text, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes(text.encode())
+    out_dir = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-input:")
+    assert not out_dir.exists()
+    results.write_text(GOOD_RESULTS)
+    assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "plot_a.csv").read_text() == "trial_count,rule,probability\n5,sccr,40.00\n"
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,24 @@ def test_budget_json_rejects_duplicates(i_a):
         budget_from_dict(i_a, {"selected": [0, 0]})
 
 
+@pytest.mark.parametrize("ballots, voter", [([[0, 0], [1]], 0), ([[1], (2, 0, 2)], 1), ([{1}, [1, 1]], 1)])
+def test_instance_rejects_repeated_ballot_id_as_json_does(ballots, voter):
+    message = f"voter {voter}'s ballot repeats a project id"
+    with pytest.raises(ValidationError, match=message):
+        Instance([1, 1, 1], ballots, 2)
+    data = {"limit": 2, "projects": [{"id": p, "cost": 1} for p in range(3)], "ballots": ballots}
+    with pytest.raises(ValidationError, match=message):
+        instance_from_dict({**data, "ballots": [list(ballot) for ballot in ballots]})
+
+
+def test_make_budget_rejects_repeated_id_as_json_does(i_a):
+    for ids in ([0, 0], (2, 0, 2)):
+        with pytest.raises(ValidationError, match="a budget repeats a project id"):
+            make_budget(i_a, ids)
+        with pytest.raises(ValidationError, match="a budget repeats a project id"):
+            budget_from_dict(i_a, {"selected": list(ids)})
+
+
 def test_budget_json_computes_missing_total(i_a):
     assert budget_from_dict(i_a, {"selected": [0, 1]}).total_cost == 2
 

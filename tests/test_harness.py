@@ -15,6 +15,7 @@ from pbelect.culture import BERNOULLI, CultureConfig, UNIFORM, equal_valued_cult
 from pbelect.harness import (
     CaseConfig,
     ExperimentConfig,
+    ResultRow,
     _format_probability,
     atomic_write_text,
     default_experiment_config,
@@ -308,6 +309,65 @@ def test_plot_data_shape(tmp_path):
     assert len(general_lines) == 1 + 6  # single series
     counts = [int(line.split(",")[0]) for line in equal_lines[1:]]
     assert counts == sorted(counts)
+
+
+GOOD_ROW = {"trial_count": 5, "case": "a", "rule": "sccr", "probability_pct": "40.00", "elapsed_ms": 0}
+# Each value results_from_csv rejects in a line, given to ResultRow directly.
+BAD_ROW_VALUES = {
+    "count-zero": {"trial_count": 0},
+    "count-bool": {"trial_count": True},
+    "count-str": {"trial_count": "5"},
+    "case-colon": {"case": "a:b"},
+    "case-empty": {"case": ""},
+    "rule-empty": {"rule": ""},
+    "rule-unknown": {"rule": "borda"},
+    **{
+        f"probability-{pct}": {"probability_pct": pct}
+        for pct in ("040.00", "40.0000", "40", "40.0", " 40.00", "50.00", "-0.00", "100.01",
+                    "NaN", "sNaN", "Infinity", "1e999999", "4e1")
+    },
+    "probability-float": {"probability_pct": 40.0},
+    "probability-none": {"probability_pct": None},
+    "elapsed-negative": {"elapsed_ms": -1},
+    "elapsed-float": {"elapsed_ms": 0.0},
+}
+
+
+@pytest.mark.parametrize("change", list(BAD_ROW_VALUES.values()), ids=list(BAD_ROW_VALUES))
+def test_result_row_rejects_what_results_csv_rejects(change):
+    ResultRow(**GOOD_ROW)
+    with pytest.raises(ValidationError):
+        ResultRow(**{**GOOD_ROW, **change})
+
+
+@pytest.mark.parametrize("count", [1, 3, 7, 300])
+def test_result_row_takes_exactly_the_rendered_probabilities(count):
+    rendered = {_format_probability(k, count) for k in range(count + 1)}
+    for hundredths in range(10_001):
+        pct = f"{hundredths // 100}.{hundredths % 100:02d}"
+        try:
+            ResultRow(count, "a", "sccr", pct, 0)
+        except ValidationError:
+            assert pct not in rendered
+        else:
+            assert pct in rendered
+
+
+def test_result_row_takes_every_rendering_of_large_counts():
+    for count in (9_999, 10_000, 10_001, 123_457):
+        for k in range(0, count + 1, 7):
+            ResultRow(count, "a", "sccr", _format_probability(k, count), 0)
+
+
+def test_plot_data_sorts_each_case_by_trial_count(tmp_path):
+    rows = tuple(
+        ResultRow(count, case, rule, "100.00", 0)
+        for count in (9, 2, 5) for case in ("b", "a") for rule in ("stv", "sccr")
+    )
+    emit_plot_data(rows, tmp_path)
+    expected = "".join(f"{count},{rule},100.00\n" for count in (2, 5, 9) for rule in ("stv", "sccr"))
+    for case in ("a", "b"):
+        assert (tmp_path / f"plot_{case}.csv").read_text() == "trial_count,rule,probability\n" + expected
 
 
 def test_plot_data_refuses_empty_result(tmp_path):

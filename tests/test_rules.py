@@ -22,6 +22,7 @@ from pbelect.core import (
 )
 from pbelect.rules import (
     BORDA,
+    RULES,
     brute_force_cc_optimal,
     brute_force_monroe_optimal,
     committee_size,
@@ -87,7 +88,8 @@ def test_sccr_borda_requires_rankings(i_a):
 # --- assignment greedy -----------------------------------------------------------
 
 def test_smr_i_c_exact_pair(i_c):
-    budget, assignment, _ = seq_monroe(i_c)
+    budget, trace = seq_monroe(i_c)
+    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
     assert assignment.capacity == 2
     assert dict(assignment.rep) == {0: 0, 1: 0, 2: 1, 3: 1}
@@ -95,14 +97,16 @@ def test_smr_i_c_exact_pair(i_c):
 
 def test_smr_single_consensus_project():
     inst = Instance([1, 1, 1], [{0}] * 5, 1)
-    budget, assignment, _ = seq_monroe(inst)
+    budget, trace = seq_monroe(inst)
+    assignment = trace.assignment
     assert budget.selected == frozenset({0})
     assert dict(assignment.rep) == {v: 0 for v in range(5)}
 
 
 def test_smr_k2_enumeration_example():
     inst = Instance([1, 1, 1], [{0, 1}, {0}, {1}, {2}], 2)
-    budget, assignment, _ = seq_monroe(inst)
+    budget, trace = seq_monroe(inst)
+    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
     oracle_budget, _, score = brute_force_monroe_optimal(inst, 2)
     assert score == 3
@@ -113,7 +117,8 @@ def test_smr_greedy_path_hand_trace():
     inst = Instance(
         [1, 1, 1, 1], [{0}, {0}, {0}, {1}, {1}, {2}], 3
     )
-    budget, assignment, trace = seq_monroe(inst)
+    budget, trace = seq_monroe(inst)
+    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1, 2]
     assert assignment.capacity == 2
     assert [(e.project, e.score) for e in trace.entries] == [(0, 2), (1, 2), (2, 1)]
@@ -129,7 +134,8 @@ def test_smr_borda_exact_pair():
     inst = Instance(
         [1, 1, 1], [{0}, {1}], 2, rankings=[(0, 1, 2), (1, 2, 0)]
     )
-    budget, assignment, _ = seq_monroe(inst, BORDA)
+    budget, trace = seq_monroe(inst, BORDA)
+    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
     assert dict(assignment.rep) == {0: 0, 1: 1}
 
@@ -305,6 +311,22 @@ def test_rules_are_deterministic():
             assert stv(inst, k) == stv(inst, k)
 
 
+def test_direct_calls_return_what_the_registry_returns():
+    """smr's trace carries its assignment, stv's k defaults to the committee
+    size, and trace JSON numbers the entries from 1."""
+    rng = random.Random(11)
+    for _ in range(40):
+        inst = random_unit_instance(rng, with_rankings=True)
+        budget, trace = seq_monroe(inst)
+        assert trace.assignment is not None
+        assert trace.to_dict() == RULES["smr"].run(inst)[1].to_dict()
+        assert trace.to_dict()["assignment"]["capacity"] == trace.assignment.capacity
+        assert stv(inst) == stv(inst, committee_size(inst)) == RULES["stv"].run(inst)
+        for rule_trace in (trace, stv(inst)[1], seq_chamberlin_courant(inst)[1]):
+            numbers = [entry["iteration"] for entry in rule_trace.to_dict()["entries"]]
+            assert numbers == list(range(1, len(rule_trace.entries) + 1))
+
+
 def test_outputs_feasible_and_sccr_exhaustive():
     rng = random.Random(13)
     for _ in range(150):
@@ -312,7 +334,8 @@ def test_outputs_feasible_and_sccr_exhaustive():
         cc_budget, _ = seq_chamberlin_courant(inst)
         assert is_feasible(inst, cc_budget)
         assert is_exhaustive(inst, cc_budget)
-        m_budget, assignment, _ = seq_monroe(inst)
+        m_budget, trace = seq_monroe(inst)
+        assignment = trace.assignment
         assert is_feasible(inst, m_budget)
         validate_assignment(inst, m_budget, assignment)
         s_budget, _ = stv(inst, committee_size(inst))
@@ -337,7 +360,8 @@ def test_smr_small_k_equals_oracle():
         k = committee_size(inst)
         if k > 2:
             continue
-        budget, assignment, _ = seq_monroe(inst)
+        budget, trace = seq_monroe(inst)
+        assignment = trace.assignment
         o_budget, o_assignment, o_score = brute_force_monroe_optimal(inst, k)
         assert budget.selected == o_budget.selected
         assert dict(assignment.rep) == dict(o_assignment.rep)

@@ -93,14 +93,14 @@ def ref_seq_monroe(instance, mode=APPROVAL):
             raise ContractError(f"no feasible budget of size {k} exists")
         ids, rep, _ = best
         entries = []
-        for i, p in enumerate(sorted(ids), start=1):
+        for p in sorted(ids):
             voters = [v for v, q in rep.items() if q == p]
             total = sum(_voter_score(instance, mode, p, v) for v in voters)
-            entries.append(TraceEntry(i, p, total, frozenset(voters)))
-        return make_budget(instance, ids), Assignment(rep, cap), RuleTrace("smr", tuple(entries))
+            entries.append(TraceEntry(p, total, frozenset(voters)))
+        return make_budget(instance, ids), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
     unassigned = set(range(instance.n))
     rep, chosen, entries = {}, set(), []
-    for iteration in range(1, k + 1):
+    for _ in range(k):
         best, best_total, best_top = -1, -1, []
         for p in range(instance.m):
             if p in chosen:
@@ -110,12 +110,12 @@ def ref_seq_monroe(instance, mode=APPROVAL):
             total = sum(_voter_score(instance, mode, p, v) for v in top)
             if total > best_total:
                 best, best_total, best_top = p, total, top
-        entries.append(TraceEntry(iteration, best, best_total, frozenset(best_top)))
+        entries.append(TraceEntry(best, best_total, frozenset(best_top)))
         chosen.add(best)
         for v in best_top:
             rep[v] = best
         unassigned.difference_update(best_top)
-    return make_budget(instance, chosen), Assignment(rep, cap), RuleTrace("smr", tuple(entries))
+    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
 
 
 # --- reference stv --------------------------------------------------------------
@@ -140,7 +140,7 @@ def ref_stv(instance, k, quota=HARE):
             supporters[ranking[pointer[v]]].append(v)
         if len(elected) + len(active) == k:
             for c in sorted(active):
-                entries.append(TraceEntry(len(entries) + 1, c, support[c], frozenset(supporters[c])))
+                entries.append(TraceEntry(c, support[c], frozenset(supporters[c])))
                 elected.append(c)
             break
         reaching = [c for c in active if support[c] >= q]
@@ -149,7 +149,7 @@ def ref_stv(instance, k, quota=HARE):
             total = support[winner]
             for v in supporters[winner]:
                 weights[v] *= (total - q) / total
-            entries.append(TraceEntry(len(entries) + 1, winner, total, frozenset(supporters[winner])))
+            entries.append(TraceEntry(winner, total, frozenset(supporters[winner])))
             active.remove(winner)
             elected.append(winner)
         else:
@@ -191,7 +191,7 @@ def ref_sccr(instance, mode=APPROVAL):
         if best < 0:
             break
         newly = approvers[best] & unsatisfied
-        entries.append(TraceEntry(len(entries) + 1, best, best_score, frozenset(newly)))
+        entries.append(TraceEntry(best, best_score, frozenset(newly)))
         chosen.add(best)
         spent += instance.costs[best]
         unsatisfied -= newly
