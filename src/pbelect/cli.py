@@ -76,14 +76,17 @@ def _json_text(value: object, indent: str = "") -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def _emit(data: object, out: str | None) -> None:
+def _emit(data: object, out: str | None, *more: tuple[object, str]) -> None:
     """Write ``data`` as ``json.dumps(data, indent=2)`` plus a newline to the
-    file ``out``, or to stdout when ``out`` is None."""
-    text = _json_text(data) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(Path(out), text)
+    file ``out``, or to stdout when ``out`` is None, then each further
+    ``(data, path)`` pair to its file. Every text is rendered before the first
+    is written, so a value that cannot be rendered leaves no output."""
+    texts = [(_json_text(value) + "\n", path) for value, path in ((data, out), *more)]
+    for text, path in texts:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            atomic_write_text(Path(path), text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -109,9 +112,8 @@ def _cmd_run_rule(args: argparse.Namespace) -> int:
     options = _given(args, f"--rule {args.rule}", ("scoring", "quota", "k"), rule.options)
     instance = instance_from_dict(_load_json(args.instance))
     budget, trace = rule.run(instance, **options)
-    _emit(budget_to_dict(budget), args.out)
-    if args.trace is not None:
-        _emit(trace.to_dict(), args.trace)
+    trace_output = () if args.trace is None else ((trace.to_dict(), args.trace),)
+    _emit(budget_to_dict(budget), args.out, *trace_output)
     return 0
 
 
@@ -236,9 +238,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# every line boundary of str.splitlines(), as its Python escape
+_LINE_BREAKS = str.maketrans({
+    char: char.encode("unicode_escape").decode("ascii")
+    for char in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+})
+
+
 def _fail(code: int, kind: str, message: object) -> int:
-    # one line even when a message repeats an argument that holds a newline
-    print(f"error: {kind}: {message}".replace("\n", "\\n"), file=sys.stderr)
+    # one line even when a message repeats an argument that holds a line break
+    print(f"error: {kind}: {message}".translate(_LINE_BREAKS), file=sys.stderr)
     return code
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -194,32 +195,47 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
 
     Trial seeds depend only on (master_seed, trial index), and counts are
     prefix sums over the shared trial stream, so the result is independent of
-    evaluation order and of ``workers``.
+    evaluation order and of ``workers``. Trials are folded into running counts
+    as they arrive, so memory does not grow with the number of trials.
     """
     if workers is not None and (type(workers) is not int or workers < 1):
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    counts = sorted(config.trial_counts)
-    max_trials = counts[-1]
+    max_trials = max(config.trial_counts)
     jobs = ((case, trial) for case in config.cases for trial in range(max_trials))
     job = partial(_evaluate_trial, config.axiom, config.record_timing)
     if workers is not None and workers > 1:
+        # imported here: it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # one pool for every case; map returns results in job order
         chunk = max(1, len(config.cases) * max_trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(job, jobs, chunksize=chunk))
-    else:
-        evaluated = list(map(job, jobs))
-    rows: list[ResultRow] = []
-    for count in counts:
-        for index, case in enumerate(config.cases):
-            prefix = evaluated[index * max_trials : index * max_trials + count]
-            for r, rule in enumerate(case.rules):
-                satisfied = sum(verdicts[r] for verdicts, _ in prefix)
-                elapsed_ms = sum(nanos[r] for _, nanos in prefix) // 1_000_000
-                rows.append(
-                    ResultRow(count, case.name, rule, _format_probability(satisfied, count), elapsed_ms)
-                )
-    return tuple(rows)
+            return _aggregate(config, pool.map(job, jobs, chunksize=chunk))
+    return _aggregate(config, map(job, jobs))
+
+
+def _aggregate(config: ExperimentConfig, evaluated: Iterator) -> tuple[ResultRow, ...]:
+    """Rows ordered by (trial count, case, rule) from ``evaluated``, the
+    trials' ``_evaluate_trial`` results in job order, read once: each case
+    keeps a running count and ns sum per rule and snapshots them at every
+    trial count."""
+    rows = []
+    counts = sorted(config.trial_counts)
+    for case in config.cases:
+        satisfied = [0] * len(case.rules)
+        nanos = [0] * len(case.rules)
+        done = 0
+        for count in counts:
+            for verdicts, trial_nanos in islice(evaluated, count - done):
+                for r in range(len(case.rules)):
+                    satisfied[r] += verdicts[r]
+                    nanos[r] += trial_nanos[r]
+            done = count
+            rows.extend(
+                ResultRow(count, case.name, rule, _format_probability(satisfied[r], count), nanos[r] // 1_000_000)
+                for r, rule in enumerate(case.rules)
+            )
+    return tuple(sorted(rows, key=attrgetter("trial_count")))  # stable: case and rule order stay
 
 
 def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
@@ -270,6 +286,12 @@ def _csv_line(fields: tuple) -> str:
 
 
 def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
+    """Write ``rows`` as results.csv; refuses, before any file exists, what
+    ``results_from_csv`` would refuse to read back."""
+    if not rows:
+        raise ContractError("cannot write results.csv for an empty result")
+    if len({(row.trial_count, row.case, row.rule) for row in rows}) != len(rows):
+        raise ContractError("cannot write results.csv: a (trial_count, case, rule) row repeats")
     text = _csv_line(RESULTS_HEADER) + "".join([_csv_line(astuple(row)) for row in rows])
     return atomic_write_text(path, text)
 

@@ -18,6 +18,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
@@ -79,7 +80,10 @@ class RuleTrace:
 
 def _score_json(score: int | Fraction) -> int | str:
     if isinstance(score, Fraction):
-        return int(score) if score.denominator == 1 else str(score)
+        if score.denominator == 1:
+            return int(score)
+        # str(Fraction) refuses terms over the int-to-str digit limit; Decimal(int) is exact
+        return f"{Decimal(score.numerator)}/{Decimal(score.denominator)}"
     return score
 
 

@@ -9,6 +9,8 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from pbelect.rules import (
     APPROVAL,
     BORDA,
     RULES,
+    RuleTrace,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
@@ -260,6 +263,48 @@ def test_run_rule_rejects_options_the_rule_does_not_take(rule, option, value, tm
     assert captured.out == ""
     assert captured.err == f"error: usage: --rule {rule} does not take {option}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_rule_traces_stv_scores_of_any_size(tmp_path):
+    """Trial 1752 of the default equal culture has stv score terms over the
+    4,300-digit int-to-str limit."""
+    config = write_json(tmp_path / "culture.json", culture_config_to_dict(equal_valued_culture(0)))
+    inst, out, trace = tmp_path / "i.json", tmp_path / "b.json", tmp_path / "t.json"
+    assert main(["gen", "--config", str(config), "--trial", "1752", "--out", str(inst)]) == 0
+    code = main([
+        "run-rule", "--rule", "stv", "--instance", str(inst), "--out", str(out), "--trace", str(trace),
+    ])
+    assert code == 0
+    budget, expected = stv(instance_from_dict(json.loads(inst.read_text())))
+    assert out.read_bytes() == indent2(budget_to_dict(budget))
+
+    def parse(score):  # Fraction(str) would refuse the long terms; Decimal reads any length
+        if type(score) is int:
+            return Fraction(score)
+        numerator, denominator = score.split("/")
+        return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+
+    scores = [entry["score"] for entry in json.loads(trace.read_text())["entries"]]
+    assert [parse(score) for score in scores] == [entry.score for entry in expected.entries]
+    assert max(len(score) for score in scores if type(score) is str) > 4300
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out-file", "stdout"])
+def test_run_rule_writes_nothing_when_an_output_cannot_be_rendered(
+    to_stdout, tmp_path, instance_file, monkeypatch, capsys
+):
+    def fail(self):
+        raise ContractError("synthetic render failure")
+
+    monkeypatch.setattr(RuleTrace, "to_dict", fail)
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--trace", str(tmp_path / "t.json")]
+    if not to_stdout:
+        argv += ["--out", str(tmp_path / "b.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contract: synthetic render failure\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
 
 
 def test_run_rule_malformed_json(tmp_path, capsys):
@@ -595,8 +640,13 @@ def test_plot_data_reads_only_what_experiment_writes(text, tmp_path, capsys):
         [],
         ["run-rule", "--rule", "nope", "--instance", "x"],
         ["gen", "--config", "x", "--trial", "1", "--out", "y", "a\nb"],
+        *(["gen", "--config", "x", "--trial", "1", "--out", "y", f"a{br}b"]
+          for br in ("\r", "\x0b", "\x1c", "\x85", "\u2028")),
     ],
-    ids=["gen-trial-not-int", "no-command", "run-rule-unknown-rule", "unrecognized-newline"],
+    ids=[
+        "gen-trial-not-int", "no-command", "run-rule-unknown-rule", "unrecognized-newline",
+        "unrecognized-cr", "unrecognized-vt", "unrecognized-fs", "unrecognized-nel", "unrecognized-ls",
+    ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

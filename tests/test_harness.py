@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -212,18 +215,67 @@ def test_three_workers_give_the_serial_rows():
 
 @pytest.mark.parametrize("workers, pools", [(None, 0), (1, 0), (2, 1)])
 def test_one_pool_for_the_whole_study_and_none_when_serial(workers, pools, monkeypatch):
+    import concurrent.futures
+
     created = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             created.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     config = small_config(trial_counts=(5,))
     assert len(config.cases) == 2
     run_experiment(config, workers=workers)
     assert len(created) == pools
+
+
+def test_serial_commands_never_load_the_process_pool():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "import pbelect, pbelect.cli\n"
+        "from pbelect.harness import default_experiment_config, run_experiment\n"
+        "run_experiment(default_experiment_config(trial_counts=(5,)))\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_serial_study_folds_each_trial_as_it_arrives(monkeypatch):
+    """Live trial results stay O(1), and elapsed_ms floors the summed ns, not
+    each trial's share."""
+    live = {"now": 0, "peak": 0}
+
+    class Result(tuple):
+        def __new__(cls, value):
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            return super().__new__(cls, value)
+
+        def __del__(self):
+            live["now"] -= 1
+
+    def stub(axiom, record_timing, job):
+        rules = len(job[0].rules)
+        return Result(((True,) * rules, (400_000,) * rules))
+
+    monkeypatch.setattr(harness, "_evaluate_trial", stub)
+    rows = run_experiment(small_config(trial_counts=(1000, 3, 7)))
+    assert live["peak"] <= 2
+    assert [(row.trial_count, row.case, row.rule) for row in rows] == [
+        (count, case.name, rule)
+        for count in (3, 7, 1000) for case in small_config().cases for rule in case.rules
+    ]
+    assert {row.probability_pct for row in rows} == {"100.00"}
+    assert {(row.trial_count, row.elapsed_ms) for row in rows} == {(3, 1), (7, 2), (1000, 400)}
 
 
 def test_timing_mode_fills_elapsed():
@@ -287,6 +339,17 @@ def test_atomic_write_keeps_umask_mode(tmp_path):
     assert path.read_text() == "text\n"
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(), (ResultRow(5, "a", "sccr", "40.00", 0), ResultRow(5, "a", "sccr", "60.00", 0))],
+    ids=["empty", "repeated-row"],
+)
+def test_results_csv_refuses_what_it_could_not_read_back(rows, tmp_path):
+    with pytest.raises(ContractError):
+        write_results_csv(rows, tmp_path / "results.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_results_csv_rejects_bad_header(tmp_path):
