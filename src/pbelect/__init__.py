@@ -15,14 +15,12 @@ from .rules import (
     APPROVAL,
     BORDA,
     RuleTrace,
-    brute_force_cc_optimal,
-    brute_force_monroe_optimal,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
     stv,
 )
-from .axioms import STRONG_BJR, UJR, AxiomReport, check_axiom, naive_axiom_oracle
+from .axioms import STRONG_BJR, UJR, AxiomReport, check_axiom
 from .culture import CultureConfig, derive_trial_seed, generate
 from .harness import (
     CaseConfig,

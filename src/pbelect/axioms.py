@@ -1,6 +1,6 @@
-"""Representation-axiom checks with an exhaustive cross-checking oracle.
+"""Representation-axiom checks and an independent witness check.
 
-Both checks scan projects in ascending id order: a violation witness is the
+The check scans projects in ascending id order: a violation witness is the
 lowest-id project p together with the full set of voters who approve p yet
 have no qualifying approved project funded. Group-size thresholds compare
 len(group) * limit >= n in exact integer arithmetic.
@@ -8,7 +8,6 @@ len(group) * limit >= n in exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import Budget, ContractError, Instance, ValidationError, is_feasible, voter_ids
@@ -38,13 +37,6 @@ class AxiomReport:
         return data
 
 
-def _check_request(instance: Instance, budget: Budget, axiom: str) -> None:
-    if axiom not in AXIOMS:
-        raise ValidationError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
-    if not is_feasible(instance, budget):
-        raise ContractError("axiom checks require a feasible budget")
-
-
 def _represented(instance: Instance, budget: Budget, axiom: str) -> int:
     """Bitmask of the voters with some approved funded project that counts as
     representation. Under the stronger axiom only positive-cost ones count."""
@@ -59,39 +51,16 @@ def _represented(instance: Instance, budget: Budget, axiom: str) -> int:
 def check_axiom(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
     """Every large-enough cohesive group must see some member's approval funded;
     under STRONG_BJR only positive-cost funded projects represent a voter."""
-    _check_request(instance, budget, axiom)
+    if axiom not in AXIOMS:
+        raise ValidationError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
+    if not is_feasible(instance, budget):
+        raise ContractError("axiom checks require a feasible budget")
     n, limit = instance.n, instance.limit
     represented = _represented(instance, budget, axiom)
     for p, mask in enumerate(instance.approver_masks):
         group = mask & ~represented
         if group.bit_count() * limit >= n:
             return AxiomReport(axiom, False, (p, frozenset(voter_ids(group))))
-    return AxiomReport(axiom, True)
-
-
-def naive_axiom_oracle(
-    instance: Instance, budget: Budget, axiom: str, max_voters: int = 16
-) -> AxiomReport:
-    """Literal quantifier-over-groups check, for cross-validation in tests.
-
-    Enumerates voter subsets in increasing size, skipping sizes too small to
-    clear the threshold. Subsets containing a represented voter can never
-    violate, so only deprived voters are combined; the verdict is unchanged.
-    """
-    _check_request(instance, budget, axiom)
-    if instance.n > max_voters:
-        raise ContractError(
-            f"oracle capped at {max_voters} voters, instance has {instance.n}"
-        )
-    represented = _represented(instance, budget, axiom)
-    deprived = [v for v in range(instance.n) if not represented >> v & 1]
-    n, limit = instance.n, instance.limit
-    min_size = -(-n // limit)
-    for size in range(min_size, len(deprived) + 1):
-        for group in itertools.combinations(deprived, size):
-            common = frozenset.intersection(*(instance.ballots[v] for v in group))
-            if common:
-                return AxiomReport(axiom, False, (min(common), frozenset(group)))
     return AxiomReport(axiom, True)
 
 

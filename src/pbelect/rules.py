@@ -1,4 +1,4 @@
-"""Sequential budgeting rules plus brute-force optima for cross-checking.
+"""Sequential budgeting rules.
 
 Three rules are provided: a coverage-greedy rule that repeatedly funds the
 project approved by the most not-yet-satisfied voters (seq_chamberlin_courant),
@@ -177,13 +177,6 @@ def committee_size(instance: Instance) -> int:
     return min(instance.limit // _uniform_cost(instance), instance.m)
 
 
-def _check_committee(instance: Instance, k: object) -> None:
-    if type(k) is not int or k < 1:
-        raise ValidationError("k must be a positive integer")
-    if k > instance.m:
-        raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
-
-
 def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
     """Per project, every voter's score for it, indexed by voter id: 1 if the
     voter approves it and 0 otherwise, or under borda ``m - rank``."""
@@ -231,19 +224,6 @@ def _best_assignment(
     return rep, best_total
 
 
-def _best_budget_of_size(
-    scores: list[list[int]], k: int, capacity: int
-) -> tuple[tuple[int, ...], dict[int, int], int]:
-    """The best size-k budget by keyed assignment, ties to the first in
-    ``itertools.combinations`` order. Every budget must fit the limit."""
-    best: tuple[tuple[int, ...], dict[int, int], int] = ((), {}, -1)
-    for ids in itertools.combinations(range(len(scores)), k):
-        rep, score = _best_assignment(scores, ids, capacity)
-        if score > best[2]:
-            best = (ids, rep, score)
-    return best
-
-
 def _assignment_entries(
     scores: list[list[int]], ids: tuple[int, ...], rep: dict[int, int]
 ) -> tuple[TraceEntry, ...]:
@@ -259,11 +239,12 @@ def _assignment_entries(
 
 
 def _best_small_budget(scores: list[list[int]], k: int, capacity: int) -> tuple[int, ...]:
-    """The ids ``_best_budget_of_size`` picks for k <= 2.
+    """The ids of the best size-k budget for k <= 2, where every budget fits
+    the limit: the most total score over every budget with its keyed
+    assignment, ties to the first in ``itertools.combinations`` order.
 
     A pair's best total depends only on the sorted score differences, so the
-    keyed assignment is left to the caller, for the winning pair alone. Ties go
-    to the first budget in ``itertools.combinations`` order, as there.
+    keyed assignment is left to the caller, for the winning pair alone.
     """
     m, n = len(scores), len(scores[0])
     totals = [sum(vector) for vector in scores]
@@ -383,7 +364,10 @@ def stv(
     rankings = instance.rankings
     if rankings is None:
         raise ConfigurationError("stv requires rankings on the instance")
-    _check_committee(instance, k)
+    if type(k) is not int or k < 1:
+        raise ValidationError("k must be a positive integer")
+    if k > instance.m:
+        raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
     n = instance.n
     q = _quota_value(n, k, quota)
     qn, qd = q.numerator, q.denominator
@@ -476,53 +460,3 @@ RULES: dict[str, Rule] = {
     "stv": Rule(_run_stv, ("quota", "k"), needs_unit_cost=True, needs_rankings=True),
 }
 
-
-# --- brute-force optima (test oracles) --------------------------------------------
-
-def brute_force_cc_optimal(
-    instance: Instance, max_projects: int = 16
-) -> tuple[Budget, int]:
-    """Enumerate every feasible subset and return one of maximum coverage.
-
-    Ties go to the lexicographically smallest sorted id tuple. Refuses
-    instances with more than ``max_projects`` projects.
-    """
-    m = instance.m
-    if m > max_projects:
-        raise ContractError(
-            f"brute force capped at {max_projects} projects, instance has {m}"
-        )
-    voter_masks = instance.approver_masks
-    costs = instance.costs
-    limit = instance.limit
-    best_ids: tuple[int, ...] | None = None
-    best_cov = -1
-    for subset in range(1 << m):
-        members = [p for p in range(m) if subset >> p & 1]
-        if sum(costs[p] for p in members) > limit:
-            continue
-        covered = 0
-        for p in members:
-            covered |= voter_masks[p]
-        cov = covered.bit_count()
-        ids = tuple(members)
-        if cov > best_cov or (cov == best_cov and best_ids is not None and ids < best_ids):
-            best_ids, best_cov = ids, cov
-    assert best_ids is not None  # the empty set is always feasible
-    return make_budget(instance, best_ids), best_cov
-
-
-def brute_force_monroe_optimal(
-    instance: Instance, k: int, mode: ScoringMode = APPROVAL
-) -> tuple[Budget, Assignment, int]:
-    """Enumerate all size-k budgets with their optimal assignments (k <= 2 only)."""
-    _check_mode(instance, mode)
-    unit = _uniform_cost(instance)
-    _check_committee(instance, k)
-    if k > 2:
-        raise ContractError("optimal assignment search is only available for k <= 2")
-    if k * unit > instance.limit:
-        raise ContractError(f"no feasible budget of size {k} exists")
-    cap = -(-instance.n // k)
-    ids, rep, score = _best_budget_of_size(_score_vectors(instance, mode), k, cap)
-    return make_budget(instance, ids), Assignment(rep, cap), score

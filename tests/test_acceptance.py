@@ -16,7 +16,7 @@ from decimal import Decimal
 
 import pytest
 
-from pbelect.axioms import AXIOMS, UJR, check_axiom, naive_axiom_oracle, verify_witness
+from pbelect.axioms import AXIOMS, UJR, check_axiom, verify_witness
 from pbelect.core import (
     Instance,
     is_exhaustive,
@@ -35,8 +35,6 @@ from pbelect.harness import (
     write_results_csv,
 )
 from pbelect.rules import (
-    brute_force_cc_optimal,
-    brute_force_monroe_optimal,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
@@ -44,6 +42,7 @@ from pbelect.rules import (
 )
 
 from conftest import coverage, probability, random_feasible_budget
+from oracles import brute_force_cc_optimal, brute_force_monroe_optimal, naive_axiom_oracle
 
 EQUAL_RULES = ("sccr", "smr", "stv")
 

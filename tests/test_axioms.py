@@ -13,7 +13,6 @@ from pbelect.axioms import (
     STRONG_BJR,
     UJR,
     check_axiom,
-    naive_axiom_oracle,
     verify_witness,
 )
 from pbelect.core import (
@@ -24,6 +23,7 @@ from pbelect.core import (
 )
 
 from conftest import random_costed_instance, random_feasible_budget, random_unit_instance
+from oracles import naive_axiom_oracle
 
 
 # --- worked examples ---------------------------------------------------------------

@@ -23,8 +23,6 @@ from pbelect.core import (
 from pbelect.rules import (
     BORDA,
     RULES,
-    brute_force_cc_optimal,
-    brute_force_monroe_optimal,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
@@ -32,6 +30,7 @@ from pbelect.rules import (
 )
 
 from conftest import coverage, random_unit_instance
+from oracles import brute_force_cc_optimal, brute_force_monroe_optimal
 
 
 # --- coverage greedy ------------------------------------------------------------

@@ -1,213 +1,33 @@
-"""The fast rules and axiom scan against a short reference version of each.
+"""The fast rules and axiom scan against the short reference version of each
+in ``oracles``.
 
-The reference keeps the straightforward loops: smr re-sorts every unassigned
-voter per project per round and enumerates every size-k budget with its keyed
-assignment for k <= 2; stv keeps one ``Fraction`` weight per voter and re-tallies
-every voter each round; sccr and the axiom scan keep each project's approvers
-as a frozenset of voters where the library uses int bitmasks, and borda sccr
-re-sums every unsatisfied voter's ``m - rank`` where the library keeps rank
-sums per project. Each must return
-the same budget, trace (exact scores included), assignment, report and error as
-its reference on every instance, including instances with more voters than one
-machine word holds.
+Each must return the same budget, trace (exact scores included), assignment,
+report and error as its reference on every instance, including instances with
+more voters than one machine word holds.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbelect.axioms import AXIOMS, UJR, AxiomReport, check_axiom
-from pbelect.core import (
-    Assignment,
-    ConfigurationError,
-    ContractError,
-    Instance,
-    is_feasible,
-    make_budget,
-)
+from pbelect.axioms import AXIOMS, AxiomReport, check_axiom
+from pbelect.core import Assignment, ContractError, Instance, make_budget
 from pbelect.rules import (
     APPROVAL,
     BORDA,
     DROOP,
     HARE,
     RuleTrace,
-    TraceEntry,
-    _check_mode,
-    _quota_value,
-    committee_size,
     seq_chamberlin_courant,
     seq_monroe,
     stv,
 )
 
-
-def _voter_score(instance, mode, project, voter):
-    if mode == APPROVAL:
-        return 1 if project in instance.ballots[voter] else 0
-    return instance.m - instance.rankings[voter].index(project)
-
-
-# --- reference smr --------------------------------------------------------------
-
-def _ref_best_assignment(instance, mode, ids, capacity):
-    n = instance.n
-    if len(ids) == 1:
-        p = ids[0]
-        return {v: p for v in range(n)}, sum(_voter_score(instance, mode, p, v) for v in range(n))
-    a, b = ids
-    score_a = [_voter_score(instance, mode, a, v) for v in range(n)]
-    score_b = [_voter_score(instance, mode, b, v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (score_b[v] - score_a[v], v))
-    base = sum(score_b)
-    lo, hi = max(0, n - capacity), min(capacity, n)
-    running = sum(score_a[v] - score_b[v] for v in order[:lo])
-    best_size, best_total = lo, base + running
-    for size in range(lo + 1, hi + 1):
-        v = order[size - 1]
-        running += score_a[v] - score_b[v]
-        if base + running > best_total:
-            best_size, best_total = size, base + running
-    rep = {v: a for v in order[:best_size]}
-    rep.update({v: b for v in order[best_size:]})
-    return rep, best_total
-
-
-def ref_seq_monroe(instance, mode=APPROVAL):
-    _check_mode(instance, mode)
-    k = committee_size(instance)
-    cap = -(-instance.n // k)
-    if k <= 2:
-        best = None
-        for ids in itertools.combinations(range(instance.m), k):
-            if sum(instance.costs[p] for p in ids) > instance.limit:
-                continue
-            rep, score = _ref_best_assignment(instance, mode, ids, cap)
-            if best is None or score > best[2]:
-                best = (ids, rep, score)
-        if best is None:
-            raise ContractError(f"no feasible budget of size {k} exists")
-        ids, rep, _ = best
-        entries = []
-        for p in sorted(ids):
-            voters = [v for v, q in rep.items() if q == p]
-            total = sum(_voter_score(instance, mode, p, v) for v in voters)
-            entries.append(TraceEntry(p, total, frozenset(voters)))
-        return make_budget(instance, ids), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
-    unassigned = set(range(instance.n))
-    rep, chosen, entries = {}, set(), []
-    for _ in range(k):
-        best, best_total, best_top = -1, -1, []
-        for p in range(instance.m):
-            if p in chosen:
-                continue
-            ranked = sorted(unassigned, key=lambda v: (-_voter_score(instance, mode, p, v), v))
-            top = ranked[:cap]
-            total = sum(_voter_score(instance, mode, p, v) for v in top)
-            if total > best_total:
-                best, best_total, best_top = p, total, top
-        entries.append(TraceEntry(best, best_total, frozenset(best_top)))
-        chosen.add(best)
-        for v in best_top:
-            rep[v] = best
-        unassigned.difference_update(best_top)
-    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
-
-
-# --- reference stv --------------------------------------------------------------
-
-def ref_stv(instance, k, quota=HARE):
-    if instance.rankings is None:
-        raise ConfigurationError("stv requires rankings on the instance")
-    n = instance.n
-    q = _quota_value(n, k, quota)
-    weights = [Fraction(1)] * n
-    pointer = [0] * n
-    active = set(range(instance.m))
-    elected, entries = [], []
-    while len(elected) < k:
-        support = {c: Fraction(0) for c in active}
-        supporters = {c: [] for c in active}
-        for v in range(n):
-            ranking = instance.rankings[v]
-            while ranking[pointer[v]] not in active:
-                pointer[v] += 1
-            support[ranking[pointer[v]]] += weights[v]
-            supporters[ranking[pointer[v]]].append(v)
-        if len(elected) + len(active) == k:
-            for c in sorted(active):
-                entries.append(TraceEntry(c, support[c], frozenset(supporters[c])))
-                elected.append(c)
-            break
-        reaching = [c for c in active if support[c] >= q]
-        if reaching:
-            winner = min(reaching, key=lambda c: (-support[c], c))
-            total = support[winner]
-            for v in supporters[winner]:
-                weights[v] *= (total - q) / total
-            entries.append(TraceEntry(winner, total, frozenset(supporters[winner])))
-            active.remove(winner)
-            elected.append(winner)
-        else:
-            active.remove(min(active, key=lambda c: (support[c], -c)))
-    budget = make_budget(instance, elected)
-    if not is_feasible(instance, budget):
-        raise ContractError(
-            f"stv with k={k} produced an infeasible budget (cost {budget.total_cost} "
-            f"over limit {instance.limit})"
-        )
-    return budget, RuleTrace("stv", tuple(entries))
-
-
-# --- reference sccr and axiom scan --------------------------------------------------
-
-def _ref_approvers(instance):
-    return [
-        frozenset(v for v, ballot in enumerate(instance.ballots) if p in ballot)
-        for p in range(instance.m)
-    ]
-
-
-def ref_sccr(instance, mode=APPROVAL):
-    _check_mode(instance, mode)
-    approvers = _ref_approvers(instance)
-    unsatisfied = set(range(instance.n))
-    chosen, spent, entries = set(), 0, []
-    while True:
-        best, best_score = -1, -1
-        for p in range(instance.m):
-            if p in chosen or instance.costs[p] > instance.limit - spent:
-                continue
-            if mode == APPROVAL:
-                score = len(approvers[p] & unsatisfied)
-            else:
-                score = sum(_voter_score(instance, mode, p, v) for v in unsatisfied)
-            if score > best_score:
-                best, best_score = p, score
-        if best < 0:
-            break
-        newly = approvers[best] & unsatisfied
-        entries.append(TraceEntry(best, best_score, frozenset(newly)))
-        chosen.add(best)
-        spent += instance.costs[best]
-        unsatisfied -= newly
-    return make_budget(instance, chosen), RuleTrace("sccr", tuple(entries))
-
-
-def ref_scan(instance, budget, axiom):
-    if not is_feasible(instance, budget):
-        raise ContractError("axiom checks require a feasible budget")
-    funded = frozenset(p for p in budget.selected if axiom == UJR or instance.costs[p] > 0)
-    flags = [not funded.isdisjoint(ballot) for ballot in instance.ballots]
-    for p, approvers in enumerate(_ref_approvers(instance)):
-        group = frozenset(v for v in approvers if not flags[v])
-        if len(group) * instance.limit >= instance.n:
-            return AxiomReport(axiom, False, (p, group))
-    return AxiomReport(axiom, True)
+from oracles import ref_scan, ref_sccr, ref_seq_monroe, ref_stv
 
 
 # --- comparison -------------------------------------------------------------------
