@@ -65,7 +65,8 @@ def check_axiom(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
 
 
 def verify_witness(instance: Instance, budget: Budget, report: AxiomReport) -> bool:
-    """Independently re-check a report's witness against the definition."""
+    """Re-check a report's witness against the definition, over the ballots
+    and the funded projects, independently of the scan's voter masks."""
     if report.satisfied != (report.witness is None):
         return False
     if report.witness is None:
@@ -77,5 +78,5 @@ def verify_witness(instance: Instance, budget: Budget, report: AxiomReport) -> b
         return False
     if len(group) * instance.limit < instance.n:
         return False
-    represented = _represented(instance, budget, report.axiom)
-    return not any(represented >> v & 1 for v in group)
+    counted = [p for p in budget.selected if report.axiom != STRONG_BJR or instance.costs[p] > 0]
+    return all(instance.ballots[v].isdisjoint(counted) for v in group)

@@ -28,7 +28,7 @@ from .core import (
 from .culture import culture_config_from_dict, generate
 from .harness import (
     ResultRow,
-    atomic_write_text,
+    atomic_write_texts,
     default_experiment_config,
     emit_plot_data,
     experiment_config_from_dict,
@@ -78,15 +78,14 @@ def _json_text(value: object, indent: str = "") -> str:
 
 def _emit(data: object, out: str | None, *more: tuple[object, str]) -> None:
     """Write ``data`` as ``json.dumps(data, indent=2)`` plus a newline to the
-    file ``out``, or to stdout when ``out`` is None, then each further
-    ``(data, path)`` pair to its file. Every text is rendered before the first
-    is written, so a value that cannot be rendered leaves no output."""
+    file ``out``, or to stdout when ``out`` is None, and each further
+    ``(data, path)`` pair to its file, all or nothing: every text is rendered
+    and every file is in place before stdout is written, and a failure leaves
+    no output."""
     texts = [(_json_text(value) + "\n", path) for value, path in ((data, out), *more)]
-    for text, path in texts:
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            atomic_write_text(Path(path), text)
+    atomic_write_texts([(path, text) for text, path in texts if path is not None])
+    if out is None:
+        sys.stdout.write(texts[0][0])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -22,6 +22,8 @@ BERNOULLI = "bernoulli"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Python's default int-to-str limit, the longest integer the CLI reads or writes
+_MAX_DIGITS = 4300
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
@@ -41,7 +43,8 @@ class CultureConfig:
     """Distributions for one impartial-culture stream.
 
     cost_model: "unit" (all costs 1) or "uniform" (integer costs in
-        [cost_min, cost_max]).
+        [cost_min, cost_max]; the largest cost or limit this can draw,
+        max(cost_max, (m_hi * cost_max + 1) // 2), has at most 4,300 digits).
     limit_model: "committee" draws the limit uniformly from [2, m-1] and
         requires unit costs; "budget" draws uniformly from
         [max cost, ceil(total cost / 2)], falling back to max cost when that
@@ -77,6 +80,12 @@ class CultureConfig:
             raise ValidationError("cost_min and cost_max must be integers")
         if self.cost_model == UNIFORM and not 1 <= self.cost_min <= self.cost_max:
             raise ValidationError("uniform costs need 1 <= cost_min <= cost_max")
+        if self.cost_model == UNIFORM and max(
+            self.cost_max, (self.m_range[1] * self.cost_max + 1) // 2
+        ) >= 10**_MAX_DIGITS:
+            raise ValidationError(
+                f"cost_max and m_range allow a cost or limit of over {_MAX_DIGITS} digits"
+            )
         if self.limit_model not in (COMMITTEE, BUDGET):
             raise ValidationError(f"unknown limit model {self.limit_model!r}")
         if self.limit_model == COMMITTEE and self.cost_model != UNIT:

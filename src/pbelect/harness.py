@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import re
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import astuple, dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
@@ -263,21 +263,32 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
 
 # --- file emission --------------------------------------------------------------
 
-def atomic_write_text(path: Path | str, text: str) -> Path:
-    """Write via a uniquely named sibling temp file and rename, so concurrent
-    writers do not collide and failures leave no partial or temp file. The temp
-    file gets mode 0o666 less the umask, as ``open(path, "w")`` would give it."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
+    """Write each ``(path, text)``, all or none: every text goes to a uniquely
+    named sibling temp file before any is renamed over its target, so
+    concurrent writers do not collide and a failure leaves no target, partial
+    file or temp file. Temp files get mode 0o666 less the umask, as
+    ``open(path, "w")`` would give them."""
+    staged: list[tuple[Path, Path]] = []
+    replaced: list[Path] = []
     try:
-        with open(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            path = Path(path)
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with open(fd, "w") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            replaced.append(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        for path in replaced:
+            path.unlink(missing_ok=True)
         raise
-    return path
+    return [path for _, path in staged]
 
 
 def _csv_line(fields: tuple) -> str:
@@ -293,23 +304,24 @@ def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
     if len({(row.trial_count, row.case, row.rule) for row in rows}) != len(rows):
         raise ContractError("cannot write results.csv: a (trial_count, case, rule) row repeats")
     text = _csv_line(RESULTS_HEADER) + "".join([_csv_line(astuple(row)) for row in rows])
-    return atomic_write_text(path, text)
+    return atomic_write_texts([(path, text)])[0]
 
 
 def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
-    """One CSV per case with (trial_count, rule, probability), by trial count."""
+    """One CSV per case with (trial_count, rule, probability), by trial count;
+    all of them or none."""
     if not rows:
         raise ContractError("cannot emit plot data for an empty result")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    outputs = []
     for case in dict.fromkeys(row.case for row in rows):
         series = sorted([row for row in rows if row.case == case], key=attrgetter("trial_count"))
         text = _csv_line(PLOT_HEADER) + "".join(
             [_csv_line((row.trial_count, row.rule, row.probability_pct)) for row in series]
         )
-        written.append(atomic_write_text(out_dir / f"plot_{case}.csv", text))
-    return written
+        outputs.append((out_dir / f"plot_{case}.csv", text))
+    return atomic_write_texts(outputs)
 
 
 def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:

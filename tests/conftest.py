@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 
 from pbelect.core import Budget, Instance, make_budget
+from pbelect.culture import UNIFORM, CultureConfig, generate
 
 
 @pytest.fixture
@@ -90,6 +91,35 @@ def random_feasible_budget(rng: random.Random, instance: Instance):
             chosen.add(p)
             spent += instance.costs[p]
     return make_budget(instance, chosen)
+
+
+def criterion_4_cases():
+    """The 1,000 (instance, budget) pairs of acceptance criterion 4: unit-cost
+    and uniform-cost instances with up to 12 voters, random feasible budgets."""
+    unit = CultureConfig(n_range=(1, 12), m_range=(3, 6), master_seed=404)
+    costed = CultureConfig(
+        n_range=(1, 12), m_range=(3, 6), cost_model=UNIFORM,
+        limit_model="budget", master_seed=405,
+    )
+    rng = random.Random(406)
+    for trial in range(500):
+        for culture in (unit, costed):
+            instance = generate(culture, trial)
+            yield instance, random_feasible_budget(rng, instance)
+
+
+def criterion_5_instances():
+    """The 500 unit-cost instances of acceptance criterion 5: up to 8 projects,
+    20 voters and a limit of 4."""
+    rng = random.Random(505)
+    for _ in range(500):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 20)
+        limit = rng.randint(1, min(4, m))
+        ballots = [
+            frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)
+        ]
+        yield Instance([1] * m, ballots, limit)
 
 
 def coverage(instance: Instance, budget: Budget) -> int:

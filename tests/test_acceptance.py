@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 import time
 from dataclasses import replace
 from decimal import Decimal
@@ -24,7 +23,7 @@ from pbelect.core import (
     make_budget,
     validate_assignment,
 )
-from pbelect.culture import CultureConfig, UNIFORM, generate
+from pbelect.culture import generate
 from pbelect.harness import (
     PAPER_TRIAL_COUNTS,
     _format_probability,
@@ -41,7 +40,7 @@ from pbelect.rules import (
     stv,
 )
 
-from conftest import coverage, probability, random_feasible_budget
+from conftest import coverage, criterion_4_cases, criterion_5_instances, probability
 from oracles import brute_force_cc_optimal, brute_force_monroe_optimal, naive_axiom_oracle
 
 EQUAL_RULES = ("sccr", "smr", "stv")
@@ -126,27 +125,18 @@ def test_criterion_3_equal_general_gap(full_run):
 
 
 def test_criterion_4_oracle_equivalence():
-    unit = CultureConfig(n_range=(1, 12), m_range=(3, 6), master_seed=404)
-    costed = CultureConfig(
-        n_range=(1, 12), m_range=(3, 6), cost_model=UNIFORM,
-        limit_model="budget", master_seed=405,
-    )
-    rng = random.Random(406)
     mismatches = 0
     bad_witnesses = 0
-    for trial in range(500):
-        for culture in (unit, costed):
-            instance = generate(culture, trial)
-            budget = random_feasible_budget(rng, instance)
-            for axiom in AXIOMS:
-                fast = check_axiom(instance, budget, axiom)
-                slow = naive_axiom_oracle(instance, budget, axiom)
-                if fast.satisfied != slow.satisfied:
-                    mismatches += 1
-                if not verify_witness(instance, budget, fast):
-                    bad_witnesses += 1
-                if not verify_witness(instance, budget, slow):
-                    bad_witnesses += 1
+    for instance, budget in criterion_4_cases():
+        for axiom in AXIOMS:
+            fast = check_axiom(instance, budget, axiom)
+            slow = naive_axiom_oracle(instance, budget, axiom)
+            if fast.satisfied != slow.satisfied:
+                mismatches += 1
+            if not verify_witness(instance, budget, fast):
+                bad_witnesses += 1
+            if not verify_witness(instance, budget, slow):
+                bad_witnesses += 1
     ok = mismatches == 0 and bad_witnesses == 0
     _report(
         "4 (oracle equivalence)",
@@ -156,19 +146,11 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_greedy_bound_and_small_k_optimality():
-    rng = random.Random(505)
     bound = 1 - 1 / math.e
     bound_violations = 0
     small_k_mismatches = 0
     small_k_checked = 0
-    for _ in range(500):
-        m = rng.randint(1, 8)
-        n = rng.randint(1, 20)
-        limit = rng.randint(1, min(4, m))
-        ballots = [
-            frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)
-        ]
-        instance = Instance([1] * m, ballots, limit)
+    for instance in criterion_5_instances():
         greedy, _ = seq_chamberlin_courant(instance)
         _, optimum = brute_force_cc_optimal(instance)
         if coverage(instance, greedy) < bound * optimum - 1e-9:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbelect import axioms
 from pbelect.axioms import (
     AXIOMS,
     STRONG_BJR,
     UJR,
+    AxiomReport,
     check_axiom,
     verify_witness,
 )
@@ -71,6 +73,18 @@ def test_axiom_checks_reject_infeasible_budget(i_b):
 def test_check_axiom_rejects_unknown_name(i_a):
     with pytest.raises(ValidationError):
         check_axiom(i_a, make_budget(i_a, set()), "pjr")
+
+
+def test_verify_witness_survives_a_broken_represented_helper(i_e, monkeypatch):
+    monkeypatch.setattr(axioms, "_represented", lambda instance, budget, axiom: 0)
+    # voters 0 and 1 approve the funded p0, so they are no deprived group
+    forged = AxiomReport(UJR, False, (0, frozenset({0, 1})))
+    assert not verify_witness(i_e, make_budget(i_e, {0}), forged)
+    # a zero-cost funded project represents under ujr only
+    inst = Instance([1, 0], [{1}, {1}], 1, allow_zero_cost=True)
+    budget = make_budget(inst, {1})
+    assert verify_witness(inst, budget, AxiomReport(STRONG_BJR, False, (1, frozenset({0, 1}))))
+    assert not verify_witness(inst, budget, AxiomReport(UJR, False, (1, frozenset({0, 1}))))
 
 
 # --- oracle ------------------------------------------------------------------------

@@ -124,6 +124,40 @@ def test_gen_seed_override_changes_draw(tmp_path):
     assert a.read_text() != b.read_text()
 
 
+def _huge_cost_culture(cost):
+    return {
+        "n_range": [3, 3], "m_range": [20, 20], "cost_model": "uniform",
+        "cost_min": cost, "cost_max": cost, "limit_model": "budget",
+    }
+
+
+def test_cultures_that_could_draw_unwritable_values_are_refused(tmp_path, monkeypatch, capsys):
+    """With 20 projects of cost 10**4300 - 1 the limit could reach 4,301 digits."""
+    culture = _huge_cost_culture(10**4300 - 1)
+    gen_config = write_json(tmp_path / "culture.json", culture)
+    study = {"trial_counts": [1], "cases": [{"name": "h", "rules": ["sccr"], "culture": culture}]}
+    study_config = write_json(tmp_path / "study.json", study)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen", "--config", str(gen_config), "--trial", "0", "--out", str(tmp_path / "i.json")],
+        ["experiment", "--config", str(study_config), "--replay", "h:0"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-input: cost_max and m_range")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json", "study.json"]
+
+
+def test_gen_writes_the_largest_values_a_culture_allows(tmp_path):
+    """(20 * (10**4299 - 1) + 1) // 2 has 4,300 digits, which run-rule reads."""
+    config = write_json(tmp_path / "culture.json", _huge_cost_culture(10**4299 - 1))
+    inst, out = tmp_path / "i.json", tmp_path / "b.json"
+    assert main(["gen", "--config", str(config), "--trial", "0", "--out", str(inst)]) == 0
+    assert main(["run-rule", "--rule", "sccr", "--instance", str(inst), "--out", str(out)]) == 0
+
+
 def test_gen_rejects_bad_config(tmp_path, capsys):
     config = write_json(tmp_path / "culture.json", {"m_range": [1, 2]})
     code = main(["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")])
@@ -305,6 +339,25 @@ def test_run_rule_writes_nothing_when_an_output_cannot_be_rendered(
     assert captured.out == ""
     assert captured.err == "error: contract: synthetic render failure\n"
     assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out-file", "stdout"])
+@pytest.mark.parametrize("trace", ["missing/t.json", "taken"], ids=["missing-dir", "dir-target"])
+def test_run_rule_writes_nothing_when_an_output_cannot_be_written(
+    to_stdout, trace, tmp_path, instance_file, capsys
+):
+    """Every temp file exists before any target is replaced, a failed rename
+    takes back the targets already replaced, and stdout comes last."""
+    (tmp_path / "taken").mkdir()
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--trace", str(tmp_path / trace)]
+    if not to_stdout:
+        argv += ["--out", str(tmp_path / "b.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: io-error:") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_run_rule_malformed_json(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pbelect.harness import (
     ExperimentConfig,
     ResultRow,
     _format_probability,
-    atomic_write_text,
+    atomic_write_texts,
     default_experiment_config,
     emit_plot_data,
     experiment_config_from_dict,
@@ -333,7 +333,7 @@ def test_results_csv_round_trip(tmp_path):
 def test_atomic_write_keeps_umask_mode(tmp_path):
     old = os.umask(0o027)
     try:
-        path = atomic_write_text(tmp_path / "out.txt", "text\n")
+        [path] = atomic_write_texts([(tmp_path / "out.txt", "text\n")])
     finally:
         os.umask(old)
     assert path.read_text() == "text\n"
@@ -436,3 +436,13 @@ def test_plot_data_sorts_each_case_by_trial_count(tmp_path):
 def test_plot_data_refuses_empty_result(tmp_path):
     with pytest.raises(ContractError):
         emit_plot_data((), tmp_path)
+
+
+def test_plot_data_writes_every_case_or_none(tmp_path):
+    """A target that cannot be replaced takes back the files already in place."""
+    rows = tuple(ResultRow(1, case, "sccr", "100.00", 0) for case in ("a", "b"))
+    (tmp_path / "plot_b.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        emit_plot_data(rows, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["plot_b.csv"]
+    assert list((tmp_path / "plot_b.csv").iterdir()) == []
