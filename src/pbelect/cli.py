@@ -12,9 +12,9 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .axioms import AXIOMS, check_axiom
 from .core import (
@@ -35,7 +35,7 @@ from .harness import (
     replay_trial,
     results_from_csv,
     run_experiment,
-    write_results_csv,
+    write_study_csvs,
 )
 from .rules import APPROVAL, BORDA, DROOP, HARE, RULES
 
@@ -49,16 +49,36 @@ def _load_json(path: str) -> object:
             raise ValidationError(f"{path} is not readable JSON: {exc}") from None
 
 
+# the text of each int 0..1023: every project id, ballot and ranking entry and
+# voter index of an instance with up to 1,024 projects and voters; a dict, so
+# a negative int misses it rather than counting from the end
+_DIGITS = {value: str(value) for value in range(1024)}
+
+
+def _int_layout(layout: Callable[[Callable[[int], str]], str]) -> str:
+    """``layout`` given the text of an int: from ``_DIGITS``, or from
+    ``int.__repr__`` when an int misses the table. The caller has checked
+    that every int is of type int: ``True`` would find ``_DIGITS[1]``."""
+    try:
+        return layout(_DIGITS.__getitem__)
+    except KeyError:
+        return layout(int.__repr__)
+
+
 def _json_text(value: object, indent: str = "") -> str:
     """``json.dumps(value, indent=2)`` for ``value`` nested at ``indent``.
 
-    With an indent, ``json.dumps`` runs the pure-Python encoder, so non-empty
-    dicts with str keys and non-empty lists are laid out here by ``str.join``,
-    a list of plain ints in one ``join`` over ``int.__repr__``. Anything else
-    goes to ``json.dumps`` and is re-indented: an encoded string holds no raw
-    newline, so each newline it writes starts a line.
+    With an indent, ``json.dumps`` runs the pure-Python encoder, so this lays
+    out by ``str.join``: non-empty dicts with str keys, non-empty lists, a
+    list of plain ints in one ``join``, and a list of non-empty plain-int rows
+    (ballots, rankings) in one comprehension with one ``join`` per row. An
+    int is written as itself. Anything else goes to ``json.dumps`` and is
+    re-indented: an encoded string holds no raw newline, so each newline it
+    writes starts a line.
     """
     kind = type(value)
+    if kind is int:
+        return _DIGITS.get(value) or int.__repr__(value)
     inner = indent + "  "
     glue = ",\n" + inner
     if value and kind is dict and set(map(type, value)) == {str}:
@@ -68,8 +88,20 @@ def _json_text(value: object, indent: str = "") -> str:
         ])
         return "{\n" + inner + body + "\n" + indent + "}"
     if value and (kind is list or kind is tuple):
-        if set(map(type, value)) == {int}:  # not bool: type(True) is bool
-            body = glue.join(map(int.__repr__, value))
+        kinds = set(map(type, value))
+        if kinds == {int}:  # not bool: type(True) is bool
+            body = _int_layout(lambda text: glue.join(map(text, value)))
+        elif (
+            kinds <= {list, tuple}
+            and all(value)
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            head = "[\n" + inner + "  "
+            sep = ",\n" + inner + "  "
+            tail = "\n" + inner + "]"
+            body = _int_layout(lambda text: glue.join([
+                head + sep.join(map(text, row)) + tail for row in value
+            ]))
         else:
             body = glue.join([_json_text(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + indent + "]"
@@ -144,11 +176,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _emit(replay_trial(config, case_name, trial), None)
         return 0
     rows = run_experiment(config, workers=args.workers)
-    out_dir = Path("out" if args.out_dir is None else args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results_path = write_results_csv(rows, out_dir / "results.csv")
-    plot_paths = emit_plot_data(rows, out_dir)
-    for path in [results_path, *plot_paths]:
+    for path in write_study_csvs(rows, "out" if args.out_dir is None else args.out_dir):
         print(f"wrote {path}")
     _print_table(rows)
     return 0

@@ -274,7 +274,8 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
     try:
         for path, text in outputs:
             path = Path(path)
-            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            # not with_name, which refuses the empty name of "" and "."
+            tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with open(fd, "w") as fh:
@@ -296,24 +297,21 @@ def _csv_line(fields: tuple) -> str:
     return ",".join(map(str, fields)) + "\n"
 
 
-def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
-    """Write ``rows`` as results.csv; refuses, before any file exists, what
-    ``results_from_csv`` would refuse to read back."""
+def _results_text(rows: tuple[ResultRow, ...]) -> str:
+    """results.csv for ``rows``; refuses what ``results_from_csv`` would
+    refuse to read back."""
     if not rows:
         raise ContractError("cannot write results.csv for an empty result")
     if len({(row.trial_count, row.case, row.rule) for row in rows}) != len(rows):
         raise ContractError("cannot write results.csv: a (trial_count, case, rule) row repeats")
-    text = _csv_line(RESULTS_HEADER) + "".join([_csv_line(astuple(row)) for row in rows])
-    return atomic_write_texts([(path, text)])[0]
+    return _csv_line(RESULTS_HEADER) + "".join([_csv_line(astuple(row)) for row in rows])
 
 
-def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
-    """One CSV per case with (trial_count, rule, probability), by trial count;
-    all of them or none."""
+def _plot_outputs(rows: tuple[ResultRow, ...], out_dir: Path) -> list[tuple[Path, str]]:
+    """One ``(out_dir/plot_<case>.csv, text)`` per case, each with
+    (trial_count, rule, probability) by trial count."""
     if not rows:
         raise ContractError("cannot emit plot data for an empty result")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for case in dict.fromkeys(row.case for row in rows):
         series = sorted([row for row in rows if row.case == case], key=attrgetter("trial_count"))
@@ -321,6 +319,29 @@ def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Pat
             [_csv_line((row.trial_count, row.rule, row.probability_pct)) for row in series]
         )
         outputs.append((out_dir / f"plot_{case}.csv", text))
+    return outputs
+
+
+def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
+    """Write ``rows`` as results.csv; refuses, before any file exists, what
+    ``results_from_csv`` would refuse to read back."""
+    return atomic_write_texts([(path, _results_text(rows))])[0]
+
+
+def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
+    """One CSV per case with (trial_count, rule, probability), by trial count;
+    all of them or none."""
+    out_dir = Path(out_dir)
+    outputs = _plot_outputs(rows, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return atomic_write_texts(outputs)
+
+
+def write_study_csvs(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
+    """``out_dir``/results.csv, then the plot CSVs, all of them or none."""
+    out_dir = Path(out_dir)
+    outputs = [(out_dir / "results.csv", _results_text(rows)), *_plot_outputs(rows, out_dir)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     return atomic_write_texts(outputs)
 
 

@@ -26,6 +26,9 @@ from pbelect.core import (
     instance_to_dict,
 )
 from pbelect.culture import (
+    PREFIX,
+    UNIFORM,
+    CultureConfig,
     culture_config_to_dict,
     equal_valued_culture,
     general_case_culture,
@@ -89,6 +92,34 @@ def test_writer_is_json_dumps_indent2(value):
     assert out.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
+# Int matrices: rows of ints the digit table holds, rows with ints it does not
+# (bools, negatives, 1024 and up, ints of many digits), empty rows, tuple rows,
+# and rows mixed with non-int rows.
+TABLE_INTS = st.integers(0, 1023)
+OTHER_INTS = st.booleans() | st.integers(max_value=-1) | st.integers(1024, 1100) | st.integers(
+    10**18, 10**4000
+)
+INT_ROWS = st.lists(TABLE_INTS, min_size=1, max_size=5) | st.lists(
+    TABLE_INTS | OTHER_INTS, min_size=1, max_size=5
+)
+ROWS = INT_ROWS | INT_ROWS.map(tuple) | st.just([]) | st.just(()) | st.lists(SCALARS, max_size=3)
+MATRICES = st.lists(INT_ROWS, min_size=1, max_size=6) | st.lists(ROWS, max_size=6).map(tuple) | (
+    st.lists(ROWS, max_size=6)
+)
+MATRIX_DOCUMENTS = MATRICES | st.dictionaries(st.text(max_size=3), MATRICES, max_size=3) | st.lists(
+    MATRICES, max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRIX_DOCUMENTS)
+def test_writer_lays_out_int_matrices_as_json_dumps_indent2(value):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(value, None)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
 # --- gen ------------------------------------------------------------------------
 
 def test_gen_writes_valid_instance(tmp_path):
@@ -106,6 +137,19 @@ def test_gen_writes_indent2_json(culture, tmp_path):
     for trial in range(3):
         assert main(["gen", "--config", str(config), "--trial", str(trial), "--out", str(out)]) == 0
         assert out.read_bytes() == indent2(instance_to_dict(generate(culture, trial)))
+
+
+def test_gen_writes_a_large_instance_as_indent2_json(tmp_path):
+    culture = CultureConfig(
+        n_range=(900, 1000), m_range=(35, 40), cost_model=UNIFORM, cost_min=1, cost_max=10,
+        limit_model="budget", ballot_model=PREFIX,
+    )
+    config = write_json(tmp_path / "culture.json", culture_config_to_dict(culture))
+    out = tmp_path / "instance.json"
+    assert main(["gen", "--config", str(config), "--trial", "0", "--out", str(out)]) == 0
+    data = instance_to_dict(generate(culture, 0))
+    assert 900 <= len(data["rankings"]) <= 1000
+    assert out.read_bytes() == indent2(data)
 
 
 def test_gen_is_reproducible(tmp_path):
@@ -383,6 +427,16 @@ def test_failed_write_leaves_no_temp_file(tmp_path, instance_file, capsys):
     assert list(target.iterdir()) == []
 
 
+
+@pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
+def test_output_path_without_a_name_is_an_io_error(out, tmp_path, instance_file, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io-error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
+
 # --- check-axiom ----------------------------------------------------------------------
 
 def test_check_axiom_violation_exits_3(tmp_path, i_e, capsys):
@@ -578,6 +632,20 @@ def test_experiment_and_plot_data_round_trip(tmp_path, capsys):
     assert main(["plot-data", "--results", str(results), "--out-dir", str(replot)]) == 0
     for name in ("plot_equal.csv", "plot_general.csv"):
         assert (replot / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_experiment_writes_all_of_its_outputs_or_none(tmp_path, capsys):
+    config = write_json(
+        tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(3,)))
+    )
+    out_dir = tmp_path / "out"
+    (out_dir / "plot_equal.csv").mkdir(parents=True)
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io-error:")
+    assert [p.name for p in out_dir.iterdir()] == ["plot_equal.csv"]
 
 
 def test_experiment_replay_prints_verdicts(tmp_path, capsys):

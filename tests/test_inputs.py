@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from pbelect import cli
 from pbelect.cli import main
 from pbelect.core import (
     Instance,
@@ -27,12 +30,15 @@ from pbelect.core import (
     instance_to_dict,
     make_budget,
 )
-from pbelect.culture import CultureConfig, culture_config_from_dict
+from pbelect.culture import CultureConfig, culture_config_from_dict, culture_config_to_dict
 from pbelect.harness import (
     CaseConfig,
     ExperimentConfig,
     experiment_config_from_dict,
     experiment_config_to_dict,
+    results_from_csv,
+    run_experiment,
+    write_results_csv,
 )
 from test_harness import small_config
 
@@ -298,3 +304,130 @@ def test_experiment_parser_raises_only_validation_error(data):
         experiment_config_from_dict(data)
     except ValidationError:
         pass
+
+
+# --- argv and results.csv bytes ------------------------------------------------------
+
+# Every command, each with valid inputs: the files below, in the working directory.
+ARGV_COMMANDS = [
+    ["gen", "--config", "culture.json", "--trial", "0", "--out", "gen.json"],
+    [
+        "run-rule", "--rule", "stv", "--instance", "inst.json", "--k", "1",
+        "--out", "b.json", "--trace", "t.json",
+    ],
+    ["run-rule", "--rule", "sccr", "--scoring", "borda", "--instance", "inst.json"],
+    [
+        "check-axiom", "--axiom", "ujr", "--instance", "inst.json", "--budget", "budget.json",
+        "--out", "r.json",
+    ],
+    ["experiment", "--config", "exp.json", "--out-dir", "study", "--seed", "3"],
+    ["experiment", "--config", "exp.json", "--replay", "equal:0"],
+    ["plot-data", "--results", "results.csv", "--out-dir", "plots"],
+]
+LINE_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # all that str.splitlines() knows
+# What a POSIX argv can hold, as Python decodes it: no NUL, and lone surrogates
+# only as the surrogateescape handler gives them for undecodable bytes.
+ARGV_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+    | st.sampled_from(LINE_BOUNDARIES)
+    | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF),
+    max_size=12,
+) | st.sampled_from(sorted({arg for argv in ARGV_COMMANDS for arg in argv}))
+TEMP_FILE = re.compile(r"\.[0-9a-f]{16}\.tmp$")  # atomic_write_texts' staging name
+
+
+def _argv_inputs(tmp: Path) -> None:
+    small = small_config(trial_counts=(2,))
+    (tmp / "culture.json").write_text(json.dumps(culture_config_to_dict(small.cases[0].culture)))
+    inst = Instance([1, 2, 1], [{0}, {0, 1}, {2}], 2, rankings=[(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    (tmp / "inst.json").write_text(json.dumps(instance_to_dict(inst)))
+    (tmp / "budget.json").write_text(json.dumps({"selected": [0]}))
+    (tmp / "exp.json").write_text(json.dumps(experiment_config_to_dict(small)))
+    write_results_csv(run_experiment(small), tmp / "results.csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=st.sampled_from(ARGV_COMMANDS),
+    at=st.integers(0, 11),
+    insert=st.booleans(),
+    text=ARGV_TEXT,
+)
+def test_cli_ends_every_argv_with_an_exit_code(argv, at, insert, text):
+    assume(not text.startswith("--w"))  # a --workers value would start that many processes
+    assume(not text.startswith("/") and ".." not in text)  # outputs stay in the temp directory
+    assume(os.fsdecode(os.fsencode(text)) == text)  # as Python decodes the bytes of a real argv
+    at %= len(argv) + 1
+    argv = argv[:at] + [text] + argv[at + (not insert):]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        _argv_inputs(tmp)
+        inputs = set(tmp.iterdir())
+        mp.chdir(tmp)
+        # without --config the default study would run its 5,000 trials
+        mp.setattr(cli, "default_experiment_config", lambda: small_config(trial_counts=(2,)))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        event(f"exit code {code}")
+        assert code in (0, 1, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == (code in (1, 2))
+        assert all(line.startswith("error: ") for line in lines)
+        made = [path.relative_to(tmp) for path in tmp.rglob("*") if path not in inputs]
+        assert not [path for path in made if TEMP_FILE.search(path.name)]
+        if code in (1, 2):
+            assert stdout.getvalue() == "" and made == []
+        named = {Path(arg) for arg in argv} | {Path("out")}
+        for path in made:  # each output is a path argv names, inside one, or above one
+            assert any(path == a or a in path.parents or path in a.parents for a in named), path
+
+
+def _valid_results() -> list[bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        texts = []
+        for config in (small_config(trial_counts=(1,)), small_config(trial_counts=(3, 7))):
+            write_results_csv(run_experiment(config), path)
+            texts.append(path.read_bytes())
+        return texts
+
+
+VALID_RESULTS = _valid_results()
+RESULTS_PIECES = st.binary(max_size=4) | st.sampled_from(
+    [b",", b"\n", b"\r\n", b"\r", b"0", b"1", b"-", b".", b"00", b'"', b" ", b"\xff", b"sccr"]
+)
+
+
+@st.composite
+def results_bytes(draw):
+    """A results.csv that write_results_csv wrote, with up to three spans
+    replaced by a few arbitrary bytes."""
+    data = draw(st.sampled_from(VALID_RESULTS))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 4)))
+        data = data[:start] + draw(RESULTS_PIECES) + data[stop:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(results_bytes() | st.binary(max_size=80))
+def test_plot_data_reads_only_bytes_write_results_csv_writes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "results.csv").write_bytes(data)
+        out_dir = tmp / "plots"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["plot-data", "--results", str(tmp / "results.csv"), "--out-dir", str(out_dir)])
+        event(f"exit code {code}")
+        if code == 0:
+            write_results_csv(results_from_csv(tmp / "results.csv"), tmp / "again.csv")
+            assert (tmp / "again.csv").read_bytes() == data
+            assert stderr.getvalue() == ""
+        else:
+            assert code == 1
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: invalid-input:")
+            assert stdout.getvalue() == "" and not out_dir.exists()
