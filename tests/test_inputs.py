@@ -308,6 +308,19 @@ def test_experiment_parser_raises_only_validation_error(data):
 
 # --- argv and results.csv bytes ------------------------------------------------------
 
+def _valid_results() -> list[bytes]:
+    """The results.csv bytes of two small studies, as write_results_csv writes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        texts = []
+        for config in (small_config(trial_counts=(1,)), small_config(trial_counts=(3, 7))):
+            write_results_csv(run_experiment(config), path)
+            texts.append(path.read_bytes())
+        return texts
+
+
+VALID_RESULTS = _valid_results()
+
 # Every command, each with valid inputs: the files below, in the working directory.
 ARGV_COMMANDS = [
     ["gen", "--config", "culture.json", "--trial", "0", "--out", "gen.json"],
@@ -343,7 +356,7 @@ def _argv_inputs(tmp: Path) -> None:
     (tmp / "inst.json").write_text(json.dumps(instance_to_dict(inst)))
     (tmp / "budget.json").write_text(json.dumps({"selected": [0]}))
     (tmp / "exp.json").write_text(json.dumps(experiment_config_to_dict(small)))
-    write_results_csv(run_experiment(small), tmp / "results.csv")
+    (tmp / "results.csv").write_bytes(VALID_RESULTS[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,17 +396,6 @@ def test_cli_ends_every_argv_with_an_exit_code(argv, at, insert, text):
             assert any(path == a or a in path.parents or path in a.parents for a in named), path
 
 
-def _valid_results() -> list[bytes]:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "results.csv"
-        texts = []
-        for config in (small_config(trial_counts=(1,)), small_config(trial_counts=(3, 7))):
-            write_results_csv(run_experiment(config), path)
-            texts.append(path.read_bytes())
-        return texts
-
-
-VALID_RESULTS = _valid_results()
 RESULTS_PIECES = st.binary(max_size=4) | st.sampled_from(
     [b",", b"\n", b"\r\n", b"\r", b"0", b"1", b"-", b".", b"00", b'"', b" ", b"\xff", b"sccr"]
 )
