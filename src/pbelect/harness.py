@@ -160,27 +160,32 @@ def default_experiment_config(
     )
 
 
-def _evaluate_trial(
-    axiom: str, record_timing: bool, job: tuple[CaseConfig, int]
-) -> tuple[tuple[bool, ...], tuple[int, ...]]:
-    """Verdict and nanoseconds of each of the case's rules, in its rule order."""
-    case, trial = job
+def _run_trial(case: CaseConfig, trial: int, axiom: str, record_timing: bool = False):
+    """The trial's instance and, per rule of the case in its order, the rule's
+    budget, axiom report and nanoseconds; a failing rule raises ContractError
+    with the trial's ``--replay`` coordinates."""
+    instance = generate(case.culture, trial)
+    results = []
     try:
-        instance = generate(case.culture, trial)
-        verdicts: list[bool] = []
-        nanos: list[int] = []
         for rule in case.rules:
             started = time.perf_counter_ns() if record_timing else 0
             budget = RULES[rule].run(instance)[0]
             report = check_axiom(instance, budget, axiom)
-            nanos.append(time.perf_counter_ns() - started if record_timing else 0)
-            verdicts.append(report.satisfied)
-        return tuple(verdicts), tuple(nanos)
+            results.append((budget, report, time.perf_counter_ns() - started if record_timing else 0))
     except (ValidationError, ContractError) as exc:
         raise ContractError(
             f"case {case.name!r} trial {trial} "
             f"(master_seed {case.culture.master_seed}) failed: {exc}"
         ) from exc
+    return instance, results
+
+
+def _evaluate_trial(
+    axiom: str, record_timing: bool, job: tuple[CaseConfig, int]
+) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """Verdict and nanoseconds of each of the case's rules, in its rule order."""
+    results = _run_trial(*job, axiom, record_timing)[1]
+    return tuple(report.satisfied for _, report, _ in results), tuple(ns for _, _, ns in results)
 
 
 def _format_probability(satisfied: int, count: int) -> str:
@@ -245,19 +250,17 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
             break
     else:
         raise ValidationError(f"config has no case named {case_name!r}")
-    instance = generate(case.culture, trial)
-    results = {}
-    for rule in case.rules:
-        budget = RULES[rule].run(instance)[0]
-        report = check_axiom(instance, budget, config.axiom)
-        results[rule] = {"budget": budget_to_dict(budget), "report": report.to_dict()}
+    instance, results = _run_trial(case, trial, config.axiom)
     return {
         "case": case_name,
         "trial": trial,
         "master_seed": config.master_seed,
         "axiom": config.axiom,
         "instance": instance_to_dict(instance),
-        "results": results,
+        "results": {
+            rule: {"budget": budget_to_dict(budget), "report": report.to_dict()}
+            for rule, (budget, report, _) in zip(case.rules, results)
+        },
     }
 
 

@@ -192,74 +192,46 @@ def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
     return scores
 
 
-def _best_assignment(
-    scores: list[list[int]], ids: tuple[int, ...], capacity: int
-) -> tuple[dict[int, int], int]:
-    """Optimal capacity-respecting assignment of all voters to 1 or 2 projects.
-
-    For a single project everyone is assigned to it. For a pair (a, b) voters
-    are ordered by score(a) - score(b) descending (ties to the lower voter id)
-    and every allowed split size is tried; the best prefix goes to a and the
-    remainder to b. Splits tying on total score keep the smallest prefix.
-    """
-    n = len(scores[ids[0]])
-    if len(ids) == 1:
-        p = ids[0]
-        return dict.fromkeys(range(n), p), sum(scores[p])
-    a, b = ids
-    score_a, score_b = scores[a], scores[b]
-    order = sorted(range(n), key=lambda v: (score_b[v] - score_a[v], v))
-    base = sum(score_b)
-    lo = max(0, n - capacity)
-    hi = min(capacity, n)
-    running = sum(score_a[v] - score_b[v] for v in order[:lo])
-    best_size, best_total = lo, base + running
-    for size in range(lo + 1, hi + 1):
-        v = order[size - 1]
-        running += score_a[v] - score_b[v]
-        if base + running > best_total:
-            best_size, best_total = size, base + running
-    rep = {v: a for v in order[:best_size]}
-    rep.update({v: b for v in order[best_size:]})
-    return rep, best_total
+def _best_split(diffs: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """The first size in lo..hi whose prefix of ``diffs`` sums highest, and that sum."""
+    sums = list(itertools.islice(itertools.accumulate(diffs, initial=0), lo, hi + 1))
+    best = max(sums)
+    return lo + sums.index(best), best
 
 
-def _assignment_entries(
-    scores: list[list[int]], ids: tuple[int, ...], rep: dict[int, int]
-) -> tuple[TraceEntry, ...]:
-    grouped: dict[int, list[int]] = {p: [] for p in ids}
-    for v, p in rep.items():
-        grouped[p].append(v)
-    entries = []
-    for p in sorted(ids):
-        voters = grouped[p]
-        total = sum(scores[p][v] for v in voters)
-        entries.append(TraceEntry(p, total, frozenset(voters)))
-    return tuple(entries)
+def _best_small_budget(
+    scores: list[list[int]], k: int, capacity: int
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The best size-k budget for k <= 2, where every budget fits the limit,
+    and its optimal capacity-respecting assignment: the most total score, ties
+    to the first budget in ``itertools.combinations`` order.
 
-
-def _best_small_budget(scores: list[list[int]], k: int, capacity: int) -> tuple[int, ...]:
-    """The ids of the best size-k budget for k <= 2, where every budget fits
-    the limit: the most total score over every budget with its keyed
-    assignment, ties to the first in ``itertools.combinations`` order.
-
-    A pair's best total depends only on the sorted score differences, so the
-    keyed assignment is left to the caller, for the winning pair alone.
+    For a pair (a, b) the voters ordered by score(a) - score(b) descending
+    take a prefix to a and the rest to b, and ``_best_split`` picks the
+    prefix size. The sums depend only on the sorted differences, so pairs are
+    ranked on those; the winner's voters are split in that order with ties to
+    the lower voter id.
     """
     m, n = len(scores), len(scores[0])
     totals = [sum(vector) for vector in scores]
     if k == 1:
-        return (max(range(m), key=totals.__getitem__),)
+        p = max(range(m), key=totals.__getitem__)
+        return (p,), dict.fromkeys(range(n), p)
     lo, hi = max(0, n - capacity), min(capacity, n)
-    best: tuple[int, ...] = ()
+    best = (0, 1)
     best_total = -1
     for a, b in itertools.combinations(range(m), 2):
         diffs = sorted(map(operator.sub, scores[a], scores[b]), reverse=True)
-        prefix = itertools.accumulate(diffs, initial=0)
-        total = totals[b] + max(itertools.islice(prefix, lo, hi + 1))
+        total = totals[b] + _best_split(diffs, lo, hi)[1]
         if total > best_total:
             best, best_total = (a, b), total
-    return best
+    a, b = best
+    diffs = list(map(operator.sub, scores[a], scores[b]))
+    order = sorted(range(n), key=lambda v: -diffs[v])  # stable: ties stay in id order
+    size = _best_split([diffs[v] for v in order], lo, hi)[0]
+    rep = dict.fromkeys(order[:size], a)
+    rep.update(dict.fromkeys(order[size:], b))
+    return best, rep
 
 
 def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget, RuleTrace]:
@@ -284,9 +256,12 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
     cap = -(-instance.n // k)
     if k <= 2:
         scores = _score_vectors(instance, mode)
-        ids = _best_small_budget(scores, k, cap)
-        rep, _ = _best_assignment(scores, ids, cap)
-        entries = _assignment_entries(scores, ids, rep)
+        ids, rep = _best_small_budget(scores, k, cap)
+        groups = {p: [v for v, q in rep.items() if q == p] for p in ids}
+        entries = tuple(
+            TraceEntry(p, sum(scores[p][v] for v in voters), frozenset(voters))
+            for p, voters in groups.items()
+        )
         return make_budget(instance, ids), RuleTrace("smr", entries, Assignment(rep, cap))
 
     n = instance.n

@@ -665,6 +665,13 @@ def test_experiment_rejects_bad_replay_spec(tmp_path, capsys):
     assert "CASE:TRIAL" in capsys.readouterr().err
 
 
+def test_experiment_replay_of_a_negative_trial_is_invalid_input(capsys):
+    assert main(["experiment", "--replay", "equal:-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid-input: trial index must be a non-negative integer\n"
+
+
 @pytest.mark.parametrize(
     "options, refused",
     [(["--workers", "0"], "--workers"), (["--timing"], "--timing"), (["--out-dir", "o"], "--out-dir")],

@@ -320,6 +320,8 @@ def test_trial_failure_reports_replay_coordinates(monkeypatch):
     monkeypatch.setitem(RULES, "sccr", replace(RULES["sccr"], run=boom))
     with pytest.raises(ContractError, match=r"case 'equal' trial 0 \(master_seed 31\)"):
         run_experiment(small_config(trial_counts=(1,)))
+    with pytest.raises(ContractError, match=r"case 'equal' trial 4 \(master_seed 31\)"):
+        replay_trial(small_config(), "equal", 4)
 
 
 # --- CSV emission -----------------------------------------------------------------
