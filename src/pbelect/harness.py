@@ -14,6 +14,7 @@ import os
 import re
 import time
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import astuple, dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
@@ -331,21 +332,34 @@ def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
     return atomic_write_texts([(path, _results_text(rows))])[0]
 
 
+def _write_in_dir(out_dir: Path, outputs: list[tuple[Path, str]]) -> list[Path]:
+    """``atomic_write_texts(outputs)`` after making ``out_dir`` and its missing
+    parents; a failure removes the directories that were missing, deepest
+    first, so it leaves none behind."""
+    missing = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return atomic_write_texts(outputs)
+    except BaseException:
+        for path in missing:
+            with suppress(OSError):  # not made, or no longer empty
+                path.rmdir()
+        raise
+
+
 def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
     """One CSV per case with (trial_count, rule, probability), by trial count;
     all of them or none."""
     out_dir = Path(out_dir)
-    outputs = _plot_outputs(rows, out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return atomic_write_texts(outputs)
+    return _write_in_dir(out_dir, _plot_outputs(rows, out_dir))
 
 
 def write_study_csvs(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
     """``out_dir``/results.csv, then the plot CSVs, all of them or none."""
     out_dir = Path(out_dir)
-    outputs = [(out_dir / "results.csv", _results_text(rows)), *_plot_outputs(rows, out_dir)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return atomic_write_texts(outputs)
+    return _write_in_dir(
+        out_dir, [(out_dir / "results.csv", _results_text(rows)), *_plot_outputs(rows, out_dir)]
+    )
 
 
 def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:
@@ -401,10 +415,17 @@ def experiment_config_from_dict(data: object) -> ExperimentConfig:
     )
     cases = data["cases"]
     if type(cases) is list:  # anything else is left for ExperimentConfig to reject
-        cases = [_case_from_dict(entry) for entry in cases]
+        cases = [_case_from_dict(entry, data.get("master_seed", 0)) for entry in cases]
     return ExperimentConfig(**{**data, "cases": cases})
 
 
-def _case_from_dict(data: object) -> CaseConfig:
+def _case_from_dict(data: object, master_seed: object) -> CaseConfig:
     data = json_object(data, "case", ("name", "rules"), ("culture",))
-    return CaseConfig(data["name"], data["rules"], culture_config_from_dict(data.get("culture", {})))
+    culture = culture_config_from_dict(data.get("culture", {}))
+    # a stated seed must be the experiment's: ExperimentConfig replaces it without a word
+    if "master_seed" in data.get("culture", {}) and culture.master_seed != master_seed:
+        raise ValidationError(
+            f"case {data['name']!r} culture master_seed {culture.master_seed} "
+            f"is not the experiment's master_seed {master_seed!r}"
+        )
+    return CaseConfig(data["name"], data["rules"], culture)

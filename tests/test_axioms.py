@@ -87,6 +87,27 @@ def test_verify_witness_survives_a_broken_represented_helper(i_e, monkeypatch):
     assert not verify_witness(inst, budget, AxiomReport(UJR, False, (1, frozenset({0, 1}))))
 
 
+@pytest.mark.parametrize(
+    "forged",
+    [
+        AxiomReport(UJR, True, (0, frozenset({0, 1}))),
+        AxiomReport(UJR, False),
+        AxiomReport(UJR, False, (0, frozenset())),
+        AxiomReport(UJR, False, (0, frozenset({0, 1, 4}))),  # n is 4
+        AxiomReport(UJR, False, (0, frozenset({0, 1, 2}))),  # voter 2 approves only p1
+        AxiomReport(UJR, False, (0, frozenset({0}))),  # 1 * limit 2 < n 4
+    ],
+    ids=[
+        "satisfied-with-witness", "violated-without-witness", "empty-group",
+        "voter-out-of-range", "voter-not-approving", "group-too-small",
+    ],
+)
+def test_verify_witness_refuses_forged_reports(forged, i_e):
+    budget = make_budget(i_e, {2, 3})
+    assert verify_witness(i_e, budget, check_axiom(i_e, budget, UJR))
+    assert not verify_witness(i_e, budget, forged)
+
+
 # --- oracle ------------------------------------------------------------------------
 
 def test_oracle_agrees_on_i_e(i_e):

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,7 +35,13 @@ from pbelect.culture import (
     general_case_culture,
     generate,
 )
-from pbelect.harness import experiment_config_to_dict, replay_trial
+from pbelect.harness import (
+    experiment_config_to_dict,
+    replay_trial,
+    results_from_csv,
+    run_experiment,
+    write_results_csv,
+)
 from pbelect.rules import (
     APPROVAL,
     BORDA,
@@ -238,6 +245,15 @@ def test_run_rule_stv_with_quota(tmp_path, i_d, capsys):
     code = main(["run-rule", "--rule", "stv", "--instance", str(path), "--quota", "droop"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["selected"] == [0, 1]
+
+
+def test_run_rule_smr_on_zero_unit_cost_is_config_error(tmp_path, capsys):
+    inst = Instance([0, 0], [{0}, {1}], 1, allow_zero_cost=True)
+    path = write_json(tmp_path / "zero.json", instance_to_dict(inst))
+    assert main(["run-rule", "--rule", "smr", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contract: equal-cost rules need a positive unit cost\n"
 
 
 def test_run_rule_borda_without_rankings_is_config_error(instance_file, capsys):
@@ -646,6 +662,57 @@ def test_experiment_writes_all_of_its_outputs_or_none(tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: io-error:")
     assert [p.name for p in out_dir.iterdir()] == ["plot_equal.csv"]
+
+
+# 21 relative directories, 4,075 characters: mkdir makes them, but a file name
+# inside the last one passes the 4,096-byte path limit
+LONG_OUT_DIR = "/".join(["d" * 193] * 20 + ["d" * 195])
+
+
+@pytest.mark.parametrize("command", ["experiment", "plot-data"])
+def test_failed_study_write_leaves_no_new_directory(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = small_config(trial_counts=(3,))
+    write_json(tmp_path / "exp.json", experiment_config_to_dict(config))
+    write_results_csv(run_experiment(config), tmp_path / "results.csv")
+    before = sorted(tmp_path.iterdir())
+    inputs = ["--config", "exp.json"] if command == "experiment" else ["--results", "results.csv"]
+    assert main([command, *inputs, "--out-dir", LONG_OUT_DIR]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io-error:")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_experiment_refuses_a_case_culture_seed_it_would_replace(tmp_path, capsys):
+    data = experiment_config_to_dict(small_config(trial_counts=(3,)))
+    data["cases"][1]["culture"]["master_seed"] = 12345
+    config = write_json(tmp_path / "exp.json", data)
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid-input: case 'general' culture master_seed 12345 "
+        "is not the experiment's master_seed 31\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_experiment_timing_fills_elapsed_only(tmp_path, capsys):
+    config = write_json(
+        tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(20, 200)))
+    )
+    studies = {}
+    for name, timing in (("plain", []), ("timed", ["--timing"])):
+        out_dir = tmp_path / name
+        assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir), *timing]) == 0
+        studies[name] = results_from_csv(out_dir / "results.csv")
+    capsys.readouterr()
+    assert {row.elapsed_ms for row in studies["plain"]} == {0}
+    assert sum(row.elapsed_ms for row in studies["timed"]) > 0
+    assert [replace(row, elapsed_ms=0) for row in studies["timed"]] == list(studies["plain"])
 
 
 def test_experiment_replay_prints_verdicts(tmp_path, capsys):

@@ -188,10 +188,34 @@ def test_validate_assignment_rejects_unselected_project(i_c):
         validate_assignment(i_c, budget, Assignment({0: 1}, 2))
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        (Assignment({0: 0}, 0), "capacity must be positive"),
+        (Assignment({0: 0, 4: 1}, 2), "unknown voter 4"),
+        (Assignment({-1: 0}, 2), "unknown voter -1"),
+    ],
+    ids=["capacity-0", "voter-n", "voter-negative"],
+)
+def test_validate_assignment_rejects_capacity_and_voters(assignment, message, i_c):
+    with pytest.raises(ContractError, match=message):
+        validate_assignment(i_c, make_budget(i_c, {0, 1}), assignment)
+
+
 # --- JSON round trips -------------------------------------------------------------
 
 def test_instance_json_round_trip(i_d):
     assert instance_from_dict(instance_to_dict(i_d)) == i_d
+
+
+def test_zero_cost_instance_json_round_trip():
+    inst = Instance([0, 2], [{0}, {0, 1}], 2, rankings=[(0, 1), (1, 0)], allow_zero_cost=True)
+    data = instance_to_dict(inst)
+    assert data["allow_zero_cost"] is True
+    assert instance_from_dict(data) == inst
+    # without the flag the same costs are refused
+    with pytest.raises(ValidationError, match="zero cost"):
+        instance_from_dict({key: value for key, value in data.items() if key != "allow_zero_cost"})
 
 
 def test_instance_json_accepts_shuffled_projects():
