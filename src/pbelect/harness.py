@@ -186,7 +186,7 @@ def _evaluate_trial(
 ) -> tuple[tuple[bool, ...], tuple[int, ...]]:
     """Verdict and nanoseconds of each of the case's rules, in its rule order."""
     results = _run_trial(*job, axiom, record_timing)[1]
-    return tuple(report.satisfied for _, report, _ in results), tuple(ns for _, _, ns in results)
+    return tuple([report.satisfied for _, report, _ in results]), tuple([ns for _, _, ns in results])
 
 
 def _format_probability(satisfied: int, count: int) -> str:
