@@ -199,12 +199,12 @@ def _best_split(diffs: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo + sums.index(best), best
 
 
-def _best_small_budget(
-    scores: list[list[int]], k: int, capacity: int
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The best size-k budget for k <= 2, where every budget fits the limit,
-    and its optimal capacity-respecting assignment: the most total score, ties
-    to the first budget in ``itertools.combinations`` order.
+def _best_pair(
+    scores: list[list[int]], capacity: int
+) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+    """The best two-project budget, where every pair fits the limit, and its
+    optimal capacity-respecting assignment as ``((a, voters), (b, voters))``:
+    the most total score, ties to the first pair in combinations order.
 
     For a pair (a, b) the voters ordered by score(a) - score(b) descending
     take a prefix to a and the rest to b, and ``_best_split`` picks the
@@ -214,9 +214,6 @@ def _best_small_budget(
     """
     m, n = len(scores), len(scores[0])
     totals = [sum(vector) for vector in scores]
-    if k == 1:
-        p = max(range(m), key=totals.__getitem__)
-        return (p,), dict.fromkeys(range(n), p)
     lo, hi = max(0, n - capacity), min(capacity, n)
     best = (0, 1)
     best_total = -1
@@ -229,9 +226,7 @@ def _best_small_budget(
     diffs = list(map(operator.sub, scores[a], scores[b]))
     order = sorted(range(n), key=lambda v: -diffs[v])  # stable: ties stay in id order
     size = _best_split([diffs[v] for v in order], lo, hi)[0]
-    rep = dict.fromkeys(order[:size], a)
-    rep.update(dict.fromkeys(order[size:], b))
-    return best, rep
+    return (a, order[:size]), (b, order[size:])
 
 
 def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget, RuleTrace]:
@@ -240,9 +235,9 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
     With k = limit // unit selections and capacity ceil(n/k): each iteration
     scores every unselected project by the summed scores of its top-capacity
     unassigned voters, funds the best project, and assigns exactly those
-    voters to it (fewer if fewer remain). For k <= 2 the enumerated optimum
-    replaces the greedy and the assignment is exactly optimal. The trace
-    carries the assignment.
+    voters to it (fewer if fewer remain). For k = 2 the enumerated optimum
+    replaces the greedy; for k = 1, with capacity n, the greedy's pick is the
+    optimum. The trace carries the assignment, read off its entries.
 
     Unassigned voters are a bitmask. Under approval scoring a project's top
     voters are its unassigned approvers and then other unassigned voters, each
@@ -253,48 +248,44 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
     """
     _check_mode(instance, mode)
     k = committee_size(instance)
-    cap = -(-instance.n // k)
-    if k <= 2:
-        scores = _score_vectors(instance, mode)
-        ids, rep = _best_small_budget(scores, k, cap)
-        groups = {p: [v for v, q in rep.items() if q == p] for p in ids}
-        entries = tuple(
-            TraceEntry(p, sum(scores[p][v] for v in voters), frozenset(voters))
-            for p, voters in groups.items()
-        )
-        return make_budget(instance, ids), RuleTrace("smr", entries, Assignment(rep, cap))
-
     n = instance.n
-    masks = instance.approver_masks
-    if mode == BORDA:
+    cap = -(-n // k)
+    if k == 2:
         scores = _score_vectors(instance, mode)
-        # sort is stable, so voters tied on a score stay in ascending id order
-        orders = [sorted(range(n), key=lambda v, s=s: -s[v]) for s in scores]
-    unassigned = (1 << n) - 1  # bit v: voter v has no representative yet
-    remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
-    rep: dict[int, int] = {}
-    entries = []
-    for _ in range(k):
-        if mode == APPROVAL:
-            best = max(remaining, key=lambda p: min(cap, (masks[p] & unassigned).bit_count()))
-            top = list(itertools.islice(voter_ids(masks[best] & unassigned), cap))
-            total = len(top)
-            if total < cap:
-                top += itertools.islice(voter_ids(unassigned & ~masks[best]), cap - total)
-        else:
-            free = set(voter_ids(unassigned))
-            tops = {
-                p: list(itertools.islice((v for v in orders[p] if v in free), cap))
-                for p in remaining
-            }
-            totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
-            best = max(remaining, key=totals.__getitem__)
-            top, total = tops[best], totals[best]
-        entries.append(TraceEntry(best, total, frozenset(top)))
-        remaining.remove(best)
-        for v in top:
-            rep[v] = best
-            unassigned ^= 1 << v
+        entries = [
+            TraceEntry(p, sum(scores[p][v] for v in voters), frozenset(voters))
+            for p, voters in _best_pair(scores, cap)
+        ]
+    else:
+        masks = instance.approver_masks
+        if mode == BORDA:
+            scores = _score_vectors(instance, mode)
+            # sort is stable, so voters tied on a score stay in ascending id order
+            orders = [sorted(range(n), key=lambda v, s=s: -s[v]) for s in scores]
+        unassigned = (1 << n) - 1  # bit v: voter v has no representative yet
+        remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
+        entries = []
+        for _ in range(k):
+            if mode == APPROVAL:
+                best = max(remaining, key=lambda p: min(cap, (masks[p] & unassigned).bit_count()))
+                top = list(itertools.islice(voter_ids(masks[best] & unassigned), cap))
+                total = len(top)
+                if total < cap:
+                    top += itertools.islice(voter_ids(unassigned & ~masks[best]), cap - total)
+            else:
+                free = set(voter_ids(unassigned))
+                tops = {
+                    p: list(itertools.islice((v for v in orders[p] if v in free), cap))
+                    for p in remaining
+                }
+                totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
+                best = max(remaining, key=totals.__getitem__)
+                top, total = tops[best], totals[best]
+            entries.append(TraceEntry(best, total, frozenset(top)))
+            remaining.remove(best)
+            for v in top:
+                unassigned ^= 1 << v
+    rep = {v: entry.project for entry in entries for v in entry.voters}
     chosen = [entry.project for entry in entries]
     return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
 
