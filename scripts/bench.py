@@ -14,8 +14,10 @@ BENCHMARK.json's ``run_seconds``, the same for both sides.
 session, every run's record and result, and per workload and metric each
 side's median and quartiles, the head's wins, whether a gain may be claimed,
 and whether the head's median is worse than the base's by more than the
-metric's bound or the spread leaves that unresolved. ``gate_ok`` is true
-when every run's correctness gate passed. The exit code is 1 when it is not.
+metric's bound or the spread leaves that unresolved. After the workloads,
+each side runs the Tier-1 suite once in its worktree; ``tier1`` holds its
+wall seconds, exit code and pytest's last line. ``gate_ok`` is true when
+every run's correctness gate passed. The exit code is 1 when it is not.
 """
 
 from __future__ import annotations
@@ -84,6 +86,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         run["record"] = run["result"] = None
         run["stderr_tail"] = done.stderr[-2000:]
     return run
+
+
+def run_tier1(tree: Path) -> dict:
+    """The Tier-1 suite once in ``tree``, as ROADMAP.md runs it: wall seconds,
+    exit code and pytest's last line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(tree / "src"), os.environ.get("PYTHONPATH")))
+    )}
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall_s, "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -187,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
                     value = run["result"] and run["result"]["metrics"].get("trials_per_s", {}).get("value")
                     print(f"{workload} seed {args.seed + i} trace {trace} {side}: "
                           f"exit {run['exit_code']} trials_per_s {value}", file=sys.stderr)
+        tier1 = {}
+        for side in SIDES:
+            tier1[side] = run_tier1(trees[side])
+            print(f"tier1 {side}: {tier1[side]['summary']}", file=sys.stderr)
     finally:
         for tree in trees.values():
             if tree.exists():
@@ -210,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         "first_seed": args.seed,
         "gate_ok": gate_ok,
         "summary": summarize(runs, spec),
+        "tier1": tier1,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{git('rev-parse', '--short', revs['head']['sha'])}.json"

@@ -213,6 +213,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
         # imported here: it loads multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
 
+        # the pool starts all its processes at the first submit: no more than CPUs
+        workers = min(workers, os.cpu_count() or 1)
         # one pool for every case; map returns results in job order
         chunk = max(1, len(config.cases) * max_trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -297,10 +297,13 @@ def _quota_value(n: int, k: int, quota: object) -> Fraction:
         return Fraction(n, k)
     if quota == DROOP:
         return Fraction(n // (k + 1) + 1)
+    bad = ValidationError(f"quota must be 'hare', 'droop', or a number: {quota!r}")
+    if type(quota) is bool:
+        raise bad
     try:
         q = Fraction(quota)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"quota must be 'hare', 'droop', or a number: {quota!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an infinite float
+        raise bad from exc
     if q <= 0:
         raise ValidationError("quota must be positive")
     return q

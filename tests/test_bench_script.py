@@ -60,3 +60,12 @@ def test_pairs_name_known_workloads():
     for bad in ("c=1", "a=x", "a"):
         with pytest.raises(SystemExit):
             bench.parse_pairs([bad], ["a", "b"])
+
+
+def test_tier1_runs_the_suite_once_in_the_tree(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
+    tier1 = bench.run_tier1(tmp_path)
+    assert tier1["exit_code"] == 0
+    assert tier1["summary"].startswith("1 passed in ")
+    assert tier1["wall_s"] > 0

@@ -247,6 +247,17 @@ def test_run_rule_stv_with_quota(tmp_path, i_d, capsys):
     assert json.loads(capsys.readouterr().out)["selected"] == [0, 1]
 
 
+def test_run_rule_stv_with_k_zero_is_invalid_input(tmp_path, i_d, capsys):
+    path = write_json(tmp_path / "ranked.json", instance_to_dict(i_d))
+    out = tmp_path / "budget.json"
+    code = main(["run-rule", "--rule", "stv", "--instance", str(path), "--k", "0", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid-input: k must be a positive integer\n"
+    assert not out.exists()
+
+
 def test_run_rule_smr_on_zero_unit_cost_is_config_error(tmp_path, capsys):
     inst = Instance([0, 0], [{0}, {1}], 1, allow_zero_cost=True)
     path = write_json(tmp_path / "zero.json", instance_to_dict(inst))
@@ -724,6 +735,13 @@ def test_experiment_replay_prints_verdicts(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["trial"] == 3
     assert set(payload["results"]) == {"sccr", "smr", "stv"}
+
+
+def test_experiment_replay_takes_the_seed_option(capsys):
+    assert main(["experiment", "--replay", "equal:3", "--seed", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["master_seed"] == 5
+    assert payload["instance"] == instance_to_dict(generate(equal_valued_culture(5), 3))
 
 
 def test_experiment_rejects_bad_replay_spec(tmp_path, capsys):

@@ -231,6 +231,32 @@ def test_one_pool_for_the_whole_study_and_none_when_serial(workers, pools, monke
     assert len(created) == pools
 
 
+def test_the_pool_has_no_more_processes_than_cpus(monkeypatch):
+    """A process pool starts every one of its ``max_workers`` at the first
+    submit, so a pool sized by ``workers`` alone would start 10**6 here."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = small_config(trial_counts=(5,))
+    assert run_experiment(config, workers=10**6) == run_experiment(config)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+
+
 def test_serial_commands_never_load_the_process_pool():
     src = str(Path(harness.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

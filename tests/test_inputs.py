@@ -367,7 +367,6 @@ def _argv_inputs(tmp: Path) -> None:
     text=ARGV_TEXT,
 )
 def test_cli_ends_every_argv_with_an_exit_code(argv, at, insert, text):
-    assume(not text.startswith("--w"))  # a --workers value would start that many processes
     assume(not text.startswith("/") and ".." not in text)  # outputs stay in the temp directory
     assume(os.fsdecode(os.fsencode(text)) == text)  # as Python decodes the bytes of a real argv
     at %= len(argv) + 1

@@ -199,9 +199,24 @@ def test_stv_rejects_k_over_m(i_d):
         stv(i_d, 4)
 
 
-def test_stv_rejects_bad_quota(i_d):
+@pytest.mark.parametrize("k", [0, -1, True])
+def test_stv_rejects_k_under_one(i_d, k):
+    with pytest.raises(ValidationError, match="k must be a positive integer"):
+        stv(i_d, k)
+
+
+@pytest.mark.parametrize("rule", [seq_chamberlin_courant, seq_monroe])
+def test_greedy_rules_reject_an_unknown_scoring_mode(i_d, rule):
+    with pytest.raises(ConfigurationError, match="unknown scoring mode 'plurality'"):
+        rule(i_d, "plurality")
+
+
+@pytest.mark.parametrize(
+    "quota", [0, -1, float("inf"), float("-inf"), float("nan"), True, "abc", None]
+)
+def test_stv_rejects_bad_quota(i_d, quota):
     with pytest.raises(ValidationError):
-        stv(i_d, 2, quota=0)
+        stv(i_d, 2, quota=quota)
 
 
 def test_committee_size_from_limit(i_d):
