@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from itertools import chain
@@ -141,6 +142,8 @@ def _given(args: argparse.Namespace, what: str, names: tuple[str, ...], takes: t
 def _cmd_run_rule(args: argparse.Namespace) -> int:
     rule = RULES[args.rule]
     options = _given(args, f"--rule {args.rule}", ("scoring", "quota", "k"), rule.options)
+    if None not in (args.out, args.trace) and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        raise _UsageError(f"--out {args.out} and --trace {args.trace} name one file")
     instance = instance_from_dict(_load_json(args.instance))
     budget, trace = rule.run(instance, **options)
     trace_output = () if args.trace is None else ((trace.to_dict(), args.trace),)
@@ -291,6 +294,3 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         return _fail(2, "contract", exc)
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

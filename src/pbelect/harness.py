@@ -280,8 +280,8 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
     try:
         for path, text in outputs:
             path = Path(path)
-            # not with_name, which refuses the empty name of "" and "."
-            tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+            # not the target's name, which may already be as long as a name can be
+            tmp = path.parent / f"pbelect.{os.urandom(8).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with open(fd, "w") as fh:
@@ -365,31 +365,29 @@ def write_study_csvs(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[P
 
 
 def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:
-    """The rows of a results CSV exactly as ``write_results_csv`` writes one."""
+    """The rows of a results CSV that ``write_results_csv`` writes back byte
+    for byte: a row per line between the header and the final newline."""
     try:
         text = Path(path).read_bytes().decode("utf-8")  # not read_text: it turns \r\n into \n
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    if not text.endswith("\n"):
-        raise ValidationError("results CSV does not end with a newline")
-    header, *lines = text[:-1].split("\n")
-    if header + "\n" != _csv_line(RESULTS_HEADER):
-        raise ValidationError(f"unexpected results CSV header {header!r}")
-    if not lines:
-        raise ValidationError("results CSV has no rows")
-    rows: dict[tuple[int, str, str], ResultRow] = {}
-    for lineno, line in enumerate(lines, start=2):
+    lines = text.split("\n")
+    rows = []
+    for lineno, line in enumerate(lines[1:-1], start=2):
         try:  # a wrong field count, a bad int() and a ValidationError are ValueErrors
             count, case, rule, prob, elapsed = line.split(",")
-            row = ResultRow(int(count), case, rule, prob, int(elapsed))
+            rows.append(ResultRow(int(count), case, rule, prob, int(elapsed)))
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        if _csv_line(astuple(row)) != line + "\n":
-            raise ValidationError(f"line {lineno}: {line!r} is not written as {_csv_line(astuple(row))!r}")
-        if (row.trial_count, case, rule) in rows:
-            raise ValidationError(f"line {lineno}: repeats the row for ({row.trial_count}, {case}, {rule})")
-        rows[row.trial_count, case, rule] = row
-    return tuple(rows.values())
+    try:
+        written = _results_text(tuple(rows)).split("\n")
+    except ContractError as exc:  # no rows, or a repeated row
+        raise ValidationError(f"{path}: {exc}") from None
+    # equal lengths: the header, a line per row, then what follows the last newline
+    for lineno, (line, expected) in enumerate(zip(lines, written), start=1):
+        if line != expected:
+            raise ValidationError(f"line {lineno}: {line!r} is not written as {expected!r}")
+    return tuple(rows)
 
 
 # --- config (de)serialization ------------------------------------------------------

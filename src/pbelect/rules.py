@@ -297,20 +297,11 @@ def _quota_value(n: int, k: int, quota: object) -> Fraction:
         return Fraction(n, k)
     if quota == DROOP:
         return Fraction(n // (k + 1) + 1)
-    bad = ValidationError(f"quota must be 'hare', 'droop', or a number: {quota!r}")
-    if type(quota) is bool:
-        raise bad
-    try:
-        q = Fraction(quota)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an infinite float
-        raise bad from exc
-    if q <= 0:
-        raise ValidationError("quota must be positive")
-    return q
+    raise ValidationError(f"quota must be {HARE!r} or {DROOP!r}, got {quota!r}")
 
 
 def stv(
-    instance: Instance, k: int | None = None, quota: object = HARE
+    instance: Instance, k: int | None = None, quota: str = HARE
 ) -> tuple[Budget, RuleTrace]:
     """Weighted single transferable vote over full rankings, electing k
     candidates, by default ``committee_size(instance)``.

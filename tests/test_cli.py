@@ -6,6 +6,7 @@ import argparse
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -238,6 +239,26 @@ def test_run_rule_writes_trace(tmp_path, instance_file):
     assert payload["rule"] == "smr"
     assert "assignment" in payload
     assert json.loads(out.read_text())["selected"] == [0, 1]
+
+
+def test_run_rule_writes_an_out_name_as_long_as_a_name_can_be(tmp_path, instance_file):
+    name = "b" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".json")) + ".json"
+    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", str(tmp_path / name)])
+    assert code == 0
+    assert json.loads((tmp_path / name).read_text())["selected"] == [0, 1]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([instance_file.name, name])
+
+
+@pytest.mark.parametrize("out, trace", [("X", "X"), ("./X", "X")], ids=["same", "dot-slash"])
+def test_run_rule_refuses_out_and_trace_in_one_file(out, trace, tmp_path, instance_file, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", out, "--trace", trace])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: usage: --out {out} and --trace {trace} name one file\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_run_rule_stv_with_quota(tmp_path, i_d, capsys):

@@ -160,7 +160,7 @@ def test_stv_unanimous_top_with_quota_n():
     inst = Instance(
         [1, 1], [{0}] * 3, 1, rankings=[(0, 1)] * 3
     )
-    budget, _ = stv(inst, 1, quota=3)
+    budget, _ = stv(inst, 1, quota="hare")
     assert budget.selected == frozenset({0})
 
 
@@ -212,7 +212,8 @@ def test_greedy_rules_reject_an_unknown_scoring_mode(i_d, rule):
 
 
 @pytest.mark.parametrize(
-    "quota", [0, -1, float("inf"), float("-inf"), float("nan"), True, "abc", None]
+    "quota",
+    [0, -1, float("inf"), float("-inf"), float("nan"), True, "abc", None, 3, "1.5", Fraction(3, 2)],
 )
 def test_stv_rejects_bad_quota(i_d, quota):
     with pytest.raises(ValidationError):

@@ -9,7 +9,6 @@ more voters than one machine word holds.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,11 +99,7 @@ def wide_instances(draw, unit_cost=False, max_n=200, max_m=8):
     return Instance(costs, ballots, limit, rankings, allow_zero_cost)
 
 
-QUOTAS = st.one_of(
-    st.sampled_from([HARE, DROOP]),
-    st.fractions(min_value=Fraction(1, 4), max_value=20, max_denominator=7),
-    st.builds(lambda whole, tenth: f"{whole}.{tenth}", st.integers(0, 20), st.integers(1, 9)),
-)
+QUOTAS = st.sampled_from([HARE, DROOP])
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,6 +162,6 @@ def test_reference_covers_both_smr_paths_and_stv_errors():
             assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
                 lambda: ref_seq_monroe(instance, mode)
             )
-    over = _outcome(lambda: stv(pair, 3, "0.5"))
+    over = _outcome(lambda: stv(pair, 3, HARE))
     assert over[0] == "error" and over[1] is ContractError
-    assert over == _outcome(lambda: ref_stv(pair, 3, "0.5"))
+    assert over == _outcome(lambda: ref_stv(pair, 3, HARE))
