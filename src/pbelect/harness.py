@@ -10,6 +10,7 @@ output; it reads 0 when timing is off.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import time
@@ -272,14 +273,21 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
 def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
     """Write each ``(path, text)``, all or none: every text goes to a uniquely
     named sibling temp file before any is renamed over its target, so
-    concurrent writers do not collide and a failure leaves no target, partial
-    file or temp file. Temp files get mode 0o666 less the umask, as
-    ``open(path, "w")`` would give them."""
+    concurrent writers do not collide, and a target that is a directory is
+    refused before any rename. A failure removes every temp file and every
+    target the call created; a target that was there before keeps its bytes
+    unless its own rename succeeded before a later one failed. Temp files get
+    mode 0o666 less the umask, as ``open(path, "w")`` would give them."""
     staged: list[tuple[Path, Path]] = []
+    existing: set[Path] = set()  # targets there before the call, which a failure keeps
     replaced: list[Path] = []
     try:
         for path, text in outputs:
             path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if os.path.lexists(path):
+                existing.add(path)
             # not the target's name, which may already be as long as a name can be
             tmp = path.parent / f"pbelect.{os.urandom(8).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -293,7 +301,8 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         for path in replaced:
-            path.unlink(missing_ok=True)
+            if path not in existing:
+                path.unlink(missing_ok=True)
         raise
     return [path for _, path in staged]
 

@@ -26,10 +26,8 @@ from .core import (
     Assignment,
     Budget,
     ConfigurationError,
-    ContractError,
     Instance,
     ValidationError,
-    is_feasible,
     make_budget,
     voter_ids,
 )
@@ -303,8 +301,9 @@ def _quota_value(n: int, k: int, quota: object) -> Fraction:
 def stv(
     instance: Instance, k: int | None = None, quota: str = HARE
 ) -> tuple[Budget, RuleTrace]:
-    """Weighted single transferable vote over full rankings, electing k
-    candidates, by default ``committee_size(instance)``.
+    """Weighted single transferable vote over full rankings on an equal-cost
+    instance, electing 1 <= k <= ``committee_size(instance)`` candidates, by
+    default that size, so every committee fits the limit.
 
     Voters start with weight 1. Each round tallies weighted first-place
     support among still-active candidates. If enough remain only to fill the
@@ -319,50 +318,46 @@ def stv(
     the quota test is ``support * qd >= qn * den`` for quota ``qn / qd``. Only
     the supporters of a removed candidate move on to their next choice.
     """
+    size = committee_size(instance)
     if k is None:
-        k = committee_size(instance)
+        k = size
     rankings = instance.rankings
     if rankings is None:
         raise ConfigurationError("stv requires rankings on the instance")
     if type(k) is not int or k < 1:
         raise ValidationError("k must be a positive integer")
-    if k > instance.m:
-        raise ValidationError(f"k={k} exceeds the {instance.m} available projects")
+    if k > size:
+        raise ValidationError(f"k={k} exceeds the committee size {size} the limit affords")
     n = instance.n
     q = _quota_value(n, k, quota)
     qn, qd = q.numerator, q.denominator
     num = [1] * n
     den = 1
     pointer = [0] * n
-    active = set(range(instance.m))
-    support = dict.fromkeys(active, 0)  # numerators over den
-    supporters: dict[int, list[int]] = {c: [] for c in active}
+    support = dict.fromkeys(range(instance.m), 0)  # the active candidates' numerators over den
+    supporters: dict[int, list[int]] = {c: [] for c in support}
     moving: Iterable[int] = range(n)  # voters whose top active candidate is unknown
-    elected: list[int] = []
     entries: list[TraceEntry] = []
-    while len(elected) < k:
+    while len(entries) < k:
         for v in moving:
             ranking = rankings[v]
             i = pointer[v]
-            while ranking[i] not in active:
+            while ranking[i] not in support:
                 i += 1
             pointer[v] = i
             support[ranking[i]] += num[v]
             supporters[ranking[i]].append(v)
-        if len(elected) + len(active) == k:
-            for c in sorted(active):
-                score = Fraction(support[c], den)
-                entries.append(TraceEntry(c, score, frozenset(supporters[c])))
-                elected.append(c)
+        if len(entries) + len(support) == k:
+            for c in sorted(support):
+                entries.append(TraceEntry(c, Fraction(support[c], den), frozenset(supporters[c])))
             break
-        winner = max(active, key=lambda c: (support[c], -c))
-        total = support[winner]
-        if total * qd >= qn * den:
-            active.remove(winner)
-            del support[winner]
-            moving = supporters.pop(winner)
+        winner = max(support, key=lambda c: (support[c], -c))
+        wins = support[winner] * qd >= qn * den
+        removed = winner if wins else min(support, key=lambda c: (support[c], -c))
+        total = support.pop(removed)
+        moving = supporters.pop(removed)
+        if wins:
             entries.append(TraceEntry(winner, Fraction(total, den), frozenset(moving)))
-            elected.append(winner)
             scale = total * qd
             keep = scale - qn * den
             kept = [num[v] * keep for v in moving]
@@ -374,18 +369,8 @@ def stv(
             num = [w // g for w in num]
             den //= g
             support = {c: s * scale // g for c, s in support.items()}
-        else:
-            loser = min(active, key=lambda c: (support[c], -c))
-            active.remove(loser)
-            del support[loser]
-            moving = supporters.pop(loser)
-    budget = make_budget(instance, elected)
-    if not is_feasible(instance, budget):
-        raise ContractError(
-            f"stv with k={k} produced an infeasible budget (cost {budget.total_cost} "
-            f"over limit {instance.limit})"
-        )
-    return budget, RuleTrace("stv", tuple(entries))
+    chosen = [entry.project for entry in entries]
+    return make_budget(instance, chosen), RuleTrace("stv", tuple(entries))
 
 
 # --- registry --------------------------------------------------------------------

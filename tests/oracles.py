@@ -27,6 +27,7 @@ from pbelect.core import (
     Assignment,
     ConfigurationError,
     ContractError,
+    ValidationError,
     is_feasible,
     make_budget,
 )
@@ -144,8 +145,11 @@ def ref_seq_monroe(instance, mode=APPROVAL):
 # --- reference stv --------------------------------------------------------------
 
 def ref_stv(instance, k, quota=HARE):
+    size = committee_size(instance)
     if instance.rankings is None:
         raise ConfigurationError("stv requires rankings on the instance")
+    if k > size:
+        raise ValidationError(f"k={k} exceeds the committee size {size} the limit affords")
     n = instance.n
     q = _quota_value(n, k, quota)
     weights = [Fraction(1)] * n
@@ -178,6 +182,7 @@ def ref_stv(instance, k, quota=HARE):
         else:
             active.remove(min(active, key=lambda c: (support[c], -c)))
     budget = make_budget(instance, elected)
+    # a guard only: k <= committee_size keeps every committee affordable
     if not is_feasible(instance, budget):
         raise ContractError(
             f"stv with k={k} produced an infeasible budget (cost {budget.total_cost} "

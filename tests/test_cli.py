@@ -279,6 +279,27 @@ def test_run_rule_stv_with_k_zero_is_invalid_input(tmp_path, i_d, capsys):
     assert not out.exists()
 
 
+def test_run_rule_stv_with_k_over_the_committee_size_is_invalid_input(tmp_path, i_d, capsys):
+    path = write_json(tmp_path / "ranked.json", instance_to_dict(i_d))
+    out = tmp_path / "budget.json"
+    k = committee_size(i_d) + 1
+    code = main(["run-rule", "--rule", "stv", "--instance", str(path), "--k", str(k), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid-input: k={k} exceeds the committee size {k - 1} the limit affords\n"
+    assert not out.exists()
+
+
+def test_run_rule_stv_with_k_on_costed_instance_is_config_error(tmp_path, capsys):
+    inst = Instance([1, 2, 1], [{0}, {0, 1}, {2}], 2, rankings=[(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    path = write_json(tmp_path / "costed.json", instance_to_dict(inst))
+    assert main(["run-rule", "--rule", "stv", "--instance", str(path), "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contract: this rule supports only equal project costs\n"
+
+
 def test_run_rule_smr_on_zero_unit_cost_is_config_error(tmp_path, capsys):
     inst = Instance([0, 0], [{0}, {1}], 1, allow_zero_cost=True)
     path = write_json(tmp_path / "zero.json", instance_to_dict(inst))
@@ -450,6 +471,23 @@ def test_run_rule_writes_nothing_when_an_output_cannot_be_written(
     assert captured.err.startswith("error: io-error:") and captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "taken"]
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+def test_failed_run_rule_keeps_an_earlier_output(tmp_path, instance_file, capsys):
+    """A trace target that is a directory is refused before any rename, so
+    the budget file of an earlier run keeps its bytes."""
+    (tmp_path / "b.json").write_text("OLD\n")
+    (tmp_path / "d").mkdir()
+    code = main([
+        "run-rule", "--rule", "sccr", "--instance", str(instance_file),
+        "--out", str(tmp_path / "b.json"), "--trace", str(tmp_path / "d"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io-error:")
+    assert (tmp_path / "b.json").read_text() == "OLD\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "d", "instance.json"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_run_rule_malformed_json(tmp_path, capsys):
@@ -694,6 +732,25 @@ def test_experiment_writes_all_of_its_outputs_or_none(tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: io-error:")
     assert [p.name for p in out_dir.iterdir()] == ["plot_equal.csv"]
+
+
+def test_failed_experiment_keeps_the_outputs_of_an_earlier_run(tmp_path, capsys):
+    config = write_json(
+        tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(3,)))
+    )
+    out_dir = tmp_path / "out"
+    (out_dir / "plot_equal.csv").mkdir(parents=True)
+    earlier = {"results.csv": b"earlier results\n", "plot_general.csv": b"earlier plot\n"}
+    for name, data in earlier.items():
+        (out_dir / name).write_bytes(data)
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io-error:")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["plot_equal.csv", *sorted(earlier)]
+    assert {name: (out_dir / name).read_bytes() for name in earlier} == earlier
+    assert list((out_dir / "plot_equal.csv").iterdir()) == []
 
 
 # 21 relative directories, 4,075 characters: mkdir makes them, but a file name

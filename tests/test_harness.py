@@ -369,6 +369,29 @@ def test_atomic_write_keeps_umask_mode(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+@pytest.mark.parametrize("first_existed", [False, True], ids=["new", "pre-existing"])
+def test_failed_rename_removes_only_the_targets_the_write_made(first_existed, tmp_path, monkeypatch):
+    """The second rename fails after the first succeeded: a first target the
+    write made is removed, and one that was there before is kept."""
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    if first_existed:
+        first.write_text("OLD\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == second:
+            raise OSError("synthetic rename failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="synthetic rename failure"):
+        atomic_write_texts([(first, "new\n"), (second, "new\n")])
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == (["a.txt"] if first_existed else [])
+    if first_existed:
+        assert first.read_text() == "new\n"  # its own rename had succeeded
+
+
 @pytest.mark.parametrize(
     "rows",
     [(), (ResultRow(5, "a", "sccr", "40.00", 0), ResultRow(5, "a", "sccr", "60.00", 0))],

@@ -342,6 +342,27 @@ def test_direct_calls_return_what_the_registry_returns():
             assert numbers == list(range(1, len(rule_trace.entries) + 1))
 
 
+def _refused_for_configuration(run) -> bool:
+    """Whether ``run()`` raises ConfigurationError; any other error propagates."""
+    try:
+        run()
+    except ConfigurationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", list(RULES))
+def test_each_rule_needs_what_the_registry_says(name):
+    """A rule refuses a costed instance exactly when it needs unit costs, with
+    every k it takes, and an unranked one exactly when it needs rankings."""
+    rule = RULES[name]
+    costed = Instance([1, 2, 1], [{0}, {0, 1}, {2}], 2, rankings=[(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    unit = Instance([1, 1, 1], [{0}, {0, 1}, {2}], 2)
+    for options in [{}, *([{"k": 1}] if "k" in rule.options else [])]:
+        assert _refused_for_configuration(lambda: rule.run(costed, **options)) == rule.needs_unit_cost
+    assert _refused_for_configuration(lambda: rule.run(unit)) == rule.needs_rankings
+
+
 def test_outputs_feasible_and_sccr_exhaustive():
     rng = random.Random(13)
     for _ in range(150):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbelect.axioms import AXIOMS, AxiomReport, check_axiom
-from pbelect.core import Assignment, ContractError, Instance, make_budget
+from pbelect.core import Assignment, Instance, ValidationError, make_budget
 from pbelect.rules import (
     APPROVAL,
     BORDA,
@@ -153,8 +153,8 @@ def test_stv_matches_reference(instance, data):
 
 
 def test_reference_covers_both_smr_paths_and_stv_errors():
-    """The strategy reaches k <= 2 and k > 2 for smr and the over-committee
-    ContractError of stv; a fixed instance of each keeps that visible."""
+    """The strategy reaches k <= 2 and k > 2 for smr and stv's ValidationError
+    for a k over the committee size; a fixed instance of each keeps that visible."""
     pair = Instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 2, rankings=[(0, 1, 2, 3)] * 5)
     greedy = Instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 3, rankings=[(3, 1, 2, 0)] * 5)
     for instance in (pair, greedy):
@@ -163,5 +163,5 @@ def test_reference_covers_both_smr_paths_and_stv_errors():
                 lambda: ref_seq_monroe(instance, mode)
             )
     over = _outcome(lambda: stv(pair, 3, HARE))
-    assert over[0] == "error" and over[1] is ContractError
+    assert over[0] == "error" and over[1] is ValidationError
     assert over == _outcome(lambda: ref_stv(pair, 3, HARE))
