@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 from .axioms import AXIOMS, check_axiom
 from .core import (
@@ -50,20 +50,16 @@ def _load_json(path: str) -> object:
             raise ValidationError(f"{path} is not readable JSON: {exc}") from None
 
 
-# the text of each int 0..1023: every project id, ballot and ranking entry and
-# voter index of an instance with up to 1,024 projects and voters; a dict, so
-# a negative int misses it rather than counting from the end
-_DIGITS = {value: str(value) for value in range(1024)}
+class _Digits(dict):
+    """The text of an int: from the table for 0..1023, every id and voter index of
+    an instance with up to 1,024 projects and voters, else from ``int.__repr__``.
+    Look up only ints of type int: ``True`` would find ``"1"``."""
+
+    def __missing__(self, value: int) -> str:
+        return int.__repr__(value)
 
 
-def _int_layout(layout: Callable[[Callable[[int], str]], str]) -> str:
-    """``layout`` given the text of an int: from ``_DIGITS``, or from
-    ``int.__repr__`` when an int misses the table. The caller has checked
-    that every int is of type int: ``True`` would find ``_DIGITS[1]``."""
-    try:
-        return layout(_DIGITS.__getitem__)
-    except KeyError:
-        return layout(int.__repr__)
+_DIGITS = _Digits({value: str(value) for value in range(1024)})
 
 
 def _json_text(value: object, indent: str = "") -> str:
@@ -79,7 +75,7 @@ def _json_text(value: object, indent: str = "") -> str:
     """
     kind = type(value)
     if kind is int:
-        return _DIGITS.get(value) or int.__repr__(value)
+        return _DIGITS[value]
     inner = indent + "  "
     glue = ",\n" + inner
     if value and kind is dict and set(map(type, value)) == {str}:
@@ -90,8 +86,9 @@ def _json_text(value: object, indent: str = "") -> str:
         return "{\n" + inner + body + "\n" + indent + "}"
     if value and (kind is list or kind is tuple):
         kinds = set(map(type, value))
+        text = _DIGITS.__getitem__
         if kinds == {int}:  # not bool: type(True) is bool
-            body = _int_layout(lambda text: glue.join(map(text, value)))
+            body = glue.join(map(text, value))
         elif (
             kinds <= {list, tuple}
             and all(value)
@@ -100,9 +97,7 @@ def _json_text(value: object, indent: str = "") -> str:
             head = "[\n" + inner + "  "
             sep = ",\n" + inner + "  "
             tail = "\n" + inner + "]"
-            body = _int_layout(lambda text: glue.join([
-                head + sep.join(map(text, row)) + tail for row in value
-            ]))
+            body = glue.join([head + sep.join(map(text, row)) + tail for row in value])
         else:
             body = glue.join([_json_text(item, inner) for item in value])
         return "[\n" + inner + body + "\n" + indent + "]"

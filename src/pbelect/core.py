@@ -85,31 +85,20 @@ def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
 
 def _rankings(rankings: tuple, m: int) -> tuple[tuple[int, ...], ...]:
     """Every ranking as a tuple permutation of 0..m-1 listing ints; ValidationError
-    naming the first bad voter otherwise. As for ballots, the per-voter loop runs
-    only when the passes over all voters fail."""
+    naming the first bad voter otherwise: its m entries must name every id, which
+    one frozenset per ranking tests."""
     full = frozenset(range(m))
-    try:  # m entries that together name every id form a permutation
-        permutations = (
-            all(issubclass(kind, (list, tuple)) for kind in set(map(type, rankings)))
-            and set(map(len, rankings)) == {m}
-            and all(map(full.__eq__, map(frozenset, rankings)))
-        )
-    except TypeError:  # an unhashable entry such as [0]
-        permutations = False
-    if not permutations:
-        for v, ranking in enumerate(rankings):
-            try:
-                permutation = (
-                    isinstance(ranking, (list, tuple))
-                    and len(ranking) == m
-                    and frozenset(ranking) == full
-                )
-            except TypeError:
-                permutation = False
-            if not permutation:
-                raise ValidationError(
-                    f"voter {v}'s ranking is not a permutation of all project ids"
-                )
+    for v, ranking in enumerate(rankings):
+        try:
+            permutation = (
+                isinstance(ranking, (list, tuple))
+                and len(ranking) == m
+                and frozenset(ranking) == full
+            )
+        except TypeError:  # an unhashable entry such as [0]
+            permutation = False
+        if not permutation:
+            raise ValidationError(f"voter {v}'s ranking is not a permutation of all project ids")
     # true and 1.0 equal 1 in the set test; one pass over all entries rejects them
     if not set(map(type, chain.from_iterable(rankings))) <= {int}:
         raise ValidationError("rankings must list project ids as integers")

@@ -213,16 +213,15 @@ def _best_pair(
     m, n = len(scores), len(scores[0])
     totals = [sum(vector) for vector in scores]
     lo, hi = max(0, n - capacity), min(capacity, n)
-    best = (0, 1)
-    best_total = -1
-    for a, b in itertools.combinations(range(m), 2):
+
+    def total(pair: tuple[int, int]) -> int:
+        a, b = pair
         diffs = sorted(map(operator.sub, scores[a], scores[b]), reverse=True)
-        total = totals[b] + _best_split(diffs, lo, hi)[1]
-        if total > best_total:
-            best, best_total = (a, b), total
-    a, b = best
+        return totals[b] + _best_split(diffs, lo, hi)[1]
+
+    a, b = max(itertools.combinations(range(m), 2), key=total)
     diffs = list(map(operator.sub, scores[a], scores[b]))
-    order = sorted(range(n), key=lambda v: -diffs[v])  # stable: ties stay in id order
+    order = sorted(range(n), key=diffs.__getitem__, reverse=True)  # stable: ties stay in id order
     size = _best_split([diffs[v] for v in order], lo, hi)[0]
     return (a, order[:size]), (b, order[size:])
 
@@ -258,8 +257,8 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
         masks = instance.approver_masks
         if mode == BORDA:
             scores = _score_vectors(instance, mode)
-            # sort is stable, so voters tied on a score stay in ascending id order
-            orders = [sorted(range(n), key=lambda v, s=s: -s[v]) for s in scores]
+            # a reverse sort is stable, so voters tied on a score stay in ascending id order
+            orders = [sorted(range(n), key=s.__getitem__, reverse=True) for s in scores]
         unassigned = (1 << n) - 1  # bit v: voter v has no representative yet
         remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
         entries = []
@@ -334,7 +333,9 @@ def stv(
     num = [1] * n
     den = 1
     pointer = [0] * n
-    support = dict.fromkeys(range(instance.m), 0)  # the active candidates' numerators over den
+    # the active candidates' numerators over den, in ascending id order, which removals and
+    # rescaling keep: max() ties go to the lowest id, min() over reversed keys to the highest
+    support = dict.fromkeys(range(instance.m), 0)
     supporters: dict[int, list[int]] = {c: [] for c in support}
     moving: Iterable[int] = range(n)  # voters whose top active candidate is unknown
     entries: list[TraceEntry] = []
@@ -348,12 +349,12 @@ def stv(
             support[ranking[i]] += num[v]
             supporters[ranking[i]].append(v)
         if len(entries) + len(support) == k:
-            for c in sorted(support):
+            for c in support:
                 entries.append(TraceEntry(c, Fraction(support[c], den), frozenset(supporters[c])))
             break
-        winner = max(support, key=lambda c: (support[c], -c))
+        winner = max(support, key=support.__getitem__)
         wins = support[winner] * qd >= qn * den
-        removed = winner if wins else min(support, key=lambda c: (support[c], -c))
+        removed = winner if wins else min(reversed(support), key=support.__getitem__)
         total = support.pop(removed)
         moving = supporters.pop(removed)
         if wins:

@@ -52,17 +52,18 @@ def test_writes_the_study_csv_and_one_table_row_per_count(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "trial_counts, args, message",
+    "changes, args, message",
     [
-        ((5,), ("--workers", "0"), "workers must be a positive integer"),
-        ((0,), (), "every trial count must be a positive integer"),
-        ((5, 5), (), "trial_counts repeats a value"),
+        ({}, ("--workers", "0"), "workers must be a positive integer"),
+        ({"trial_counts": [0]}, (), "every trial count must be a positive integer"),
+        ({"trial_counts": [5, 5]}, (), "trial_counts repeats a value"),
+        ({"trial_counts": [2], "cases": []}, (), "at least one case is required"),
     ],
-    ids=["workers-zero", "count-zero", "count-repeated"],
+    ids=["workers-zero", "count-zero", "count-repeated", "no-cases"],
 )
-def test_invalid_arguments_are_usage_errors(trial_counts, args, message, tmp_path):
+def test_invalid_arguments_are_usage_errors(changes, args, message, tmp_path):
     config = experiment_config_to_dict(default_experiment_config(0, (5,)))
-    config["trial_counts"] = list(trial_counts)
+    config.update(changes)
     proc = run_experiment_command(tmp_path, config, *args, "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 1
     err = proc.stderr.splitlines()

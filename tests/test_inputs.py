@@ -112,6 +112,12 @@ VOTER_ERRORS = {
         ([0], [1]), [(0, 1, 2), dict.fromkeys((2, 1, 0))],
         "voter 1's ranking is not a permutation of all project ids",
     ),
+    "ranking-set": (
+        ([0], [1]), [(0, 1, 2), {0, 1, 2}], "voter 1's ranking is not a permutation of all project ids"
+    ),
+    "ranking-later-unhashable": (
+        ([0], [1]), [(0, 1, 2), ([0], 1, 2)], "voter 1's ranking is not a permutation of all project ids"
+    ),
     "ranking-bool": (([0], [1]), [(0, 1, 2), (0, True, 2)], "rankings must list project ids as integers"),
 }
 
@@ -352,11 +358,18 @@ TEMP_FILE = re.compile(r"\.[0-9a-f]{16}\.tmp$")  # atomic_write_texts' staging n
 def _argv_inputs(tmp: Path) -> None:
     small = small_config(trial_counts=(2,))
     (tmp / "culture.json").write_text(json.dumps(culture_config_to_dict(small.cases[0].culture)))
-    inst = Instance([1, 2, 1], [{0}, {0, 1}, {2}], 2, rankings=[(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    inst = Instance([1, 1, 1], [{0}, {0, 1}, {2}], 2, rankings=[(0, 1, 2), (1, 0, 2), (2, 1, 0)])
     (tmp / "inst.json").write_text(json.dumps(instance_to_dict(inst)))
     (tmp / "budget.json").write_text(json.dumps({"selected": [0]}))
     (tmp / "exp.json").write_text(json.dumps(experiment_config_to_dict(small)))
     (tmp / "results.csv").write_bytes(VALID_RESULTS[0])
+
+
+def test_every_argv_command_succeeds_on_its_inputs(tmp_path, monkeypatch):
+    _argv_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    codes = [main(argv) for argv in ARGV_COMMANDS]
+    assert all(code in (0, 3) for code in codes), codes
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbelect.axioms import UJR, check_axiom
 from pbelect.core import (
     ConfigurationError,
     ContractError,
@@ -430,3 +431,18 @@ def test_stv_elected_set_is_anonymous(inst, data):
     original, _ = stv(inst, k)
     permuted, _ = stv(shuffled, k)
     assert original.selected == permuted.selected
+
+
+@st.composite
+def unit_instances(draw):
+    m = draw(st.integers(1, 6))
+    ballots = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=10))
+    return Instance([1] * m, ballots, draw(st.integers(1, m + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_instances())
+def test_sccr_satisfies_ujr_on_unit_costs(inst):
+    # with unit costs UJR is justified representation, which greedy coverage
+    # satisfies (Aziz et al., Social Choice and Welfare 2017): equal/sccr's 100%
+    assert check_axiom(inst, seq_chamberlin_courant(inst)[0], UJR).satisfied
