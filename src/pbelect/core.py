@@ -3,7 +3,9 @@
 Money is integral throughout, so feasibility and exhaustiveness are exact
 integer comparisons with no tolerance questions. Instances validate on
 construction and are immutable afterwards; every operation below is a pure
-function and safe to call concurrently.
+function and safe to call concurrently. The one instance built without the
+checks is ``culture.generate``'s, valid by construction; the test suite, not
+the study's hot path, checks that the checks would pass it unchanged.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class Instance:
     rejected unless ``allow_zero_cost`` is set; empty approval ballots are
     always rejected. Every field is checked here; lists are accepted and
     stored as tuples and frozensets, and anything malformed raises
-    ValidationError.
+    ValidationError. The one exception is ``culture.generate``, whose
+    instances skip the checks through a private constructor.
     """
 
     costs: tuple[int, ...]
@@ -158,6 +161,26 @@ class Instance:
         if len(rankings) != len(ballots):
             raise ValidationError("rankings, when given, must cover every voter")
         object.__setattr__(self, "rankings", _rankings(rankings, m))
+
+    @classmethod
+    def _unchecked(
+        cls,
+        costs: tuple[int, ...],
+        ballots: tuple[frozenset[int], ...],
+        limit: int,
+        rankings: tuple[tuple[int, ...], ...] | None,
+    ) -> Instance:
+        """An instance from fields already valid and in their stored types,
+        without ``__post_init__``; only ``culture.generate`` calls this, and
+        tests/test_culture.py checks that ``Instance(...)`` rebuilds its output
+        equal."""
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "costs", costs)
+        object.__setattr__(instance, "ballots", ballots)
+        object.__setattr__(instance, "limit", limit)
+        object.__setattr__(instance, "rankings", rankings)
+        object.__setattr__(instance, "allow_zero_cost", False)
+        return instance
 
     @property
     def n(self) -> int:

@@ -148,10 +148,14 @@ def _prefix_ballots(
 
 
 def generate(config: CultureConfig, trial_index: int) -> Instance:
-    """Draw one instance for the given trial; always passes core validation.
+    """Draw one instance for the given trial.
 
     Integers are drawn from ``getrandbits`` as ``randint`` and ``sample``
     draw them, so an instance depends on the trial seed and MT19937 alone.
+    The instance is valid by construction, so it is built without
+    ``Instance``'s checks; tests/test_culture.py (a property test over valid
+    configs) and criterion 6 of tests/test_acceptance.py (the study's seed-0
+    stream) check that ``Instance(...)`` rebuilds it equal.
     """
     if type(trial_index) is not int or trial_index < 0:
         raise ValidationError("trial index must be a non-negative integer")
@@ -180,7 +184,9 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
                     p for p in range(m) if rng.random() < config.approval_prob
                 )
             ballots.append(approved)
-    return Instance(tuple(costs), tuple(ballots), limit, None if rankings is None else tuple(rankings))
+    return Instance._unchecked(
+        tuple(costs), tuple(ballots), limit, None if rankings is None else tuple(rankings)
+    )
 
 
 def equal_valued_culture(master_seed: int = 0) -> CultureConfig:

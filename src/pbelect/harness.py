@@ -274,12 +274,17 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
     """Write each ``(path, text)``, all or none: every text goes to a uniquely
     named sibling temp file before any is renamed over its target, so
     concurrent writers do not collide, and a target that is a directory is
-    refused before any rename. A failure removes every temp file and every
-    target the call created; a target that was there before keeps its bytes
-    unless its own rename succeeded before a later one failed. Temp files get
-    mode 0o666 less the umask, as ``open(path, "w")`` would give them."""
+    refused before any rename. Before the renames, each target that was
+    there before gets a hard link beside it, ``pbelect.<16 hex>.bak``. A
+    failure removes every temp file and every target the call created and
+    renames each backup back over its target; success removes the backups.
+    Where the file system refuses the hard link (OSError), that target has
+    no backup: a failure keeps it, with the new bytes if its own rename
+    succeeded before a later one failed. Temp files get mode 0o666 less the
+    umask, as ``open(path, "w")`` would give them."""
     staged: list[tuple[Path, Path]] = []
     existing: set[Path] = set()  # targets there before the call, which a failure keeps
+    backups: dict[Path, Path] = {}  # existing target -> its hard link
     replaced: list[Path] = []
     try:
         for path, text in outputs:
@@ -294,6 +299,13 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
             staged.append((tmp, path))
             with open(fd, "w") as fh:
                 fh.write(text)
+        for path in existing:
+            backup = path.parent / f"pbelect.{os.urandom(8).hex()}.bak"
+            try:
+                os.link(path, backup, follow_symlinks=False)
+            except OSError:
+                continue
+            backups[path] = backup
         for tmp, path in staged:
             os.replace(tmp, path)
             replaced.append(path)
@@ -301,9 +313,17 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         for path in replaced:
-            if path not in existing:
+            if path in backups:
+                os.replace(backups.pop(path), path)
+            elif path not in existing:
                 path.unlink(missing_ok=True)
+        # a target never renamed over still is its backup's file, which
+        # os.replace would leave under both names
+        for backup in backups.values():
+            backup.unlink(missing_ok=True)
         raise
+    for backup in backups.values():
+        backup.unlink()
     return [path for _, path in staged]
 
 

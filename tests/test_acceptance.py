@@ -18,6 +18,7 @@ import pytest
 from pbelect.axioms import AXIOMS, UJR, check_axiom, verify_witness
 from pbelect.core import (
     Instance,
+    ValidationError,
     is_exhaustive,
     is_feasible,
     make_budget,
@@ -174,15 +175,26 @@ def test_criterion_5_greedy_bound_and_small_k_optimality():
     )
 
 
+def _rebuilds_equal(instance: Instance) -> bool:
+    """Whether Instance's checks, which generate skips, accept ``instance`` unchanged."""
+    try:
+        rebuilt = Instance(instance.costs, instance.ballots, instance.limit, instance.rankings)
+    except ValidationError:
+        return False
+    return rebuilt == instance
+
+
 def test_criterion_6_feasibility_exhaustiveness_capacity(full_run):
     config, _, _ = full_run
-    infeasible = non_exhaustive = capacity_broken = 0
+    infeasible = non_exhaustive = capacity_broken = invalid = 0
     checked = 0
     for case in config.cases:
         culture = replace(case.culture, master_seed=config.master_seed)
         for trial in range(5000):
             instance = generate(culture, trial)
             checked += 1
+            if not _rebuilds_equal(instance):
+                invalid += 1
             cc_budget, _ = seq_chamberlin_courant(instance)
             if not is_feasible(instance, cc_budget):
                 infeasible += 1
@@ -200,11 +212,12 @@ def test_criterion_6_feasibility_exhaustiveness_capacity(full_run):
                 s_budget, _ = stv(instance, committee_size(instance))
                 if not is_feasible(instance, s_budget):
                     infeasible += 1
-    ok = checked == 10_000 and infeasible == non_exhaustive == capacity_broken == 0
+    ok = checked == 10_000 and infeasible == non_exhaustive == capacity_broken == invalid == 0
     _report(
         "6 (feasibility/exhaustiveness/capacity)",
         ok,
-        f"{checked} instances, {infeasible} infeasible outputs, "
+        f"{checked} instances, {invalid} that Instance(...) does not rebuild equal, "
+        f"{infeasible} infeasible outputs, "
         f"{non_exhaustive} non-exhaustive coverage-greedy outputs, "
         f"{capacity_broken} capacity violations",
     )

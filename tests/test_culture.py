@@ -5,13 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbelect.core import ValidationError
+from pbelect.core import Instance, ValidationError
 from pbelect.culture import (
     BERNOULLI,
     BUDGET,
+    COMMITTEE,
     CultureConfig,
+    PREFIX,
     UNIFORM,
+    UNIT,
     _prefix_ballots,
     _randint,
     culture_config_from_dict,
@@ -76,6 +81,45 @@ def test_inlined_draws_match_sample_and_randint(m):
         for lo, hi in ((1, m), (m, m), (2, m - 1), (m, 10 * m)):
             assert _randint(ours, lo, hi) == theirs.randint(lo, hi)
         assert ours.random() == theirs.random()
+
+
+@st.composite
+def culture_configs(draw) -> CultureConfig:
+    """Valid configs over every cost, limit and ballot model, with small
+    ranges and any master seed."""
+    n_lo = draw(st.integers(1, 6))
+    m_lo = draw(st.integers(3, 6))
+    cost_model = draw(st.sampled_from([UNIT, UNIFORM]))
+    cost_min = draw(st.integers(1, 50))
+    return CultureConfig(
+        n_range=(n_lo, draw(st.integers(n_lo, 8))),
+        m_range=(m_lo, draw(st.integers(m_lo, 8))),
+        cost_model=cost_model,
+        cost_min=cost_min,
+        cost_max=draw(st.integers(cost_min, 10**6)),
+        limit_model=draw(st.sampled_from([COMMITTEE, BUDGET])) if cost_model == UNIT else BUDGET,
+        ballot_model=draw(st.sampled_from([PREFIX, BERNOULLI])),
+        approval_prob=draw(st.floats(0.05, 1.0)),
+        master_seed=draw(st.integers()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(culture_configs(), st.integers(0, 10**6))
+def test_generate_yields_a_valid_instance(config, trial):
+    """generate builds its instance without Instance's checks, which would
+    accept it unchanged."""
+    g = generate(config, trial)
+    checked = Instance(g.costs, g.ballots, g.limit, g.rankings)
+    assert checked == g and hash(checked) == hash(g)
+    # the stored types too: frozenset == set would let a set ballot through
+    assert type(g.costs) is tuple and all(type(cost) is int for cost in g.costs)
+    assert type(g.ballots) is tuple and all(type(ballot) is frozenset for ballot in g.ballots)
+    assert type(g.limit) is int and g.allow_zero_cost is False
+    if config.ballot_model == PREFIX:
+        assert type(g.rankings) is tuple and all(type(ranking) is tuple for ranking in g.rankings)
+    else:
+        assert g.rankings is None
 
 
 def test_unit_model_invariants():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import subprocess
@@ -369,27 +370,62 @@ def test_atomic_write_keeps_umask_mode(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-@pytest.mark.parametrize("first_existed", [False, True], ids=["new", "pre-existing"])
-def test_failed_rename_removes_only_the_targets_the_write_made(first_existed, tmp_path, monkeypatch):
-    """The second rename fails after the first succeeded: a first target the
-    write made is removed, and one that was there before is kept."""
-    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-    if first_existed:
-        first.write_text("OLD\n")
+def test_atomic_write_over_an_existing_target_leaves_no_backup(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("OLD\n")
+    atomic_write_texts([(target, "new\n")])
+    assert target.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _fail_renames_onto(monkeypatch, target: Path) -> None:
     real_replace = os.replace
 
     def replace(src, dst):
-        if Path(dst) == second:
+        if Path(dst) == target:
             raise OSError("synthetic rename failure")
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("before", ["", "file", "symlink"], ids=["new", "pre-existing", "symlink"])
+def test_failed_rename_removes_only_the_targets_the_write_made(before, tmp_path, monkeypatch):
+    """The second rename fails after the first succeeded: a first target the
+    write made is removed, and one that was there before, a dangling symlink
+    too, is put back from its backup."""
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    if before == "file":
+        first.write_text("OLD\n")
+    elif before == "symlink":
+        first.symlink_to("elsewhere")
+    _fail_renames_onto(monkeypatch, second)
     with pytest.raises(OSError, match="synthetic rename failure"):
         atomic_write_texts([(first, "new\n"), (second, "new\n")])
     monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == (["a.txt"] if first_existed else [])
-    if first_existed:
-        assert first.read_text() == "new\n"  # its own rename had succeeded
+    assert [p.name for p in tmp_path.iterdir()] == (["a.txt"] if before else [])
+    if before == "file":
+        assert first.read_text() == "OLD\n"
+    elif before == "symlink":
+        assert os.readlink(first) == "elsewhere"
+
+
+def test_failed_rename_without_hard_links_keeps_the_new_bytes(tmp_path, monkeypatch):
+    """Where the file system refuses a hard link, a target that was there
+    before has no backup: it stays, with the bytes of its own rename."""
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("OLD\n")
+
+    def link(*args, **kwargs):
+        raise OSError(errno.EPERM, "synthetic link failure")
+
+    monkeypatch.setattr(os, "link", link)
+    _fail_renames_onto(monkeypatch, second)
+    with pytest.raises(OSError, match="synthetic rename failure"):
+        atomic_write_texts([(first, "new\n"), (second, "new\n")])
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+    assert first.read_text() == "new\n"
 
 
 @pytest.mark.parametrize(

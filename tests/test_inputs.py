@@ -352,7 +352,7 @@ ARGV_TEXT = st.text(
     | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF),
     max_size=12,
 ) | st.sampled_from(sorted({arg for argv in ARGV_COMMANDS for arg in argv}))
-TEMP_FILE = re.compile(r"\.[0-9a-f]{16}\.tmp$")  # atomic_write_texts' staging name
+TEMP_FILE = re.compile(r"\.[0-9a-f]{16}\.(tmp|bak)$")  # atomic_write_texts' staging and backup names
 
 
 def _argv_inputs(tmp: Path) -> None:
