@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Literal
@@ -49,11 +49,48 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class RuleTrace:
-    """Audit log of a rule run: one entry per selected project, in order."""
+    """Audit log of a rule run: one entry per selected project, in order.
+
+    ``RuleTrace(rule, entries, assignment)`` holds what it is given. A rule
+    records its picks as plain tuples and returns a trace that builds
+    ``entries`` and ``assignment`` from them on the first read of either (and
+    so on the first ``to_dict``, ``==``, ``repr`` or pickle), so a caller that
+    reads only the budget does not pay for them. The build is pure: two
+    threads that race on the first read at worst build the trace twice.
+    """
 
     rule: str
     entries: tuple[TraceEntry, ...]
-    assignment: Assignment | None = None  # set by smr
+    # a factory leaves no class attribute, so a deferred trace's first read reaches __getattr__
+    assignment: Assignment | None = field(default_factory=lambda: None)  # set by smr
+
+    @classmethod
+    def _deferred(
+        cls, rule: str, build: Callable[[], tuple[tuple[TraceEntry, ...], Assignment | None]]
+    ) -> RuleTrace:
+        """The trace whose ``(entries, assignment)`` is ``build()``, run at the first read."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "rule", rule)
+        object.__setattr__(trace, "_build", build)
+        return trace
+
+    def __getattr__(self, name: str):
+        # reached only for names not yet set: a deferred trace's fields before their first read
+        state = vars(self)
+        build = state.get("_build")
+        if build is not None and name in ("entries", "assignment"):
+            entries, assignment = build()
+            object.__setattr__(self, "entries", entries)
+            object.__setattr__(self, "assignment", assignment)
+            state.pop("_build", None)
+        try:
+            return state[name]  # set above, or by a thread whose first read came first
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __reduce__(self):
+        # a deferred trace holds a closure, which does not pickle: both kinds reduce to the eager one
+        return RuleTrace, (self.rule, self.entries, self.assignment)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -129,7 +166,7 @@ def seq_chamberlin_courant(
         rank_sums = _rank_sums(rankings, m)  # over the unsatisfied voters
     chosen: set[int] = set()
     spent = 0
-    entries: list[TraceEntry] = []
+    picks: list[tuple[int, int, int]] = []  # (project, score, mask of the voters it covered)
     while True:
         slack = instance.limit - spent
         if mode == BORDA:
@@ -148,15 +185,19 @@ def seq_chamberlin_courant(
         if best < 0:
             break
         newly = masks[best] & unsatisfied
-        voters = frozenset(voter_ids(newly))
-        entries.append(TraceEntry(best, best_score, voters))
+        picks.append((best, best_score, newly))
         chosen.add(best)
         spent += instance.costs[best]
         unsatisfied ^= newly
         if mode == BORDA:
-            covered = _rank_sums([rankings[v] for v in voters], m)
+            covered = _rank_sums([rankings[v] for v in voter_ids(newly)], m)
             rank_sums = list(map(operator.sub, rank_sums, covered))
-    return make_budget(instance, chosen), RuleTrace("sccr", tuple(entries))
+
+    def build() -> tuple[tuple[TraceEntry, ...], None]:
+        entries = tuple(TraceEntry(p, score, frozenset(voter_ids(mask))) for p, score, mask in picks)
+        return entries, None
+
+    return make_budget(instance, chosen), RuleTrace._deferred("sccr", build)
 
 
 # --- quota-capacity assignment greedy ------------------------------------------
@@ -249,9 +290,8 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
     cap = -(-n // k)
     if k == 2:
         scores = _score_vectors(instance, mode)
-        entries = [
-            TraceEntry(p, sum(scores[p][v] for v in voters), frozenset(voters))
-            for p, voters in _best_pair(scores, cap)
+        picks = [
+            (p, sum(scores[p][v] for v in voters), voters) for p, voters in _best_pair(scores, cap)
         ]
     else:
         masks = instance.approver_masks
@@ -261,7 +301,7 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
             orders = [sorted(range(n), key=s.__getitem__, reverse=True) for s in scores]
         unassigned = (1 << n) - 1  # bit v: voter v has no representative yet
         remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
-        entries = []
+        picks = []  # (project, total, voters)
         for _ in range(k):
             if mode == APPROVAL:
                 best = max(remaining, key=lambda p: min(cap, (masks[p] & unassigned).bit_count()))
@@ -278,13 +318,18 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
                 totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
                 best = max(remaining, key=totals.__getitem__)
                 top, total = tops[best], totals[best]
-            entries.append(TraceEntry(best, total, frozenset(top)))
+            picks.append((best, total, top))
             remaining.remove(best)
             for v in top:
                 unassigned ^= 1 << v
-    rep = {v: entry.project for entry in entries for v in entry.voters}
-    chosen = [entry.project for entry in entries]
-    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
+
+    def build() -> tuple[tuple[TraceEntry, ...], Assignment]:
+        entries = tuple(TraceEntry(p, total, frozenset(voters)) for p, total, voters in picks)
+        rep = {v: entry.project for entry in entries for v in entry.voters}
+        return entries, Assignment(rep, cap)
+
+    chosen = [p for p, _, _ in picks]
+    return make_budget(instance, chosen), RuleTrace._deferred("smr", build)
 
 
 # --- single transferable vote ---------------------------------------------------
@@ -338,8 +383,9 @@ def stv(
     support = dict.fromkeys(range(instance.m), 0)
     supporters: dict[int, list[int]] = {c: [] for c in support}
     moving: Iterable[int] = range(n)  # voters whose top active candidate is unknown
-    entries: list[TraceEntry] = []
-    while len(entries) < k:
+    # per elected candidate: (candidate, its support's numerator, den then, its supporters)
+    picks: list[tuple[int, int, int, list[int]]] = []
+    while len(picks) < k:
         for v in moving:
             ranking = rankings[v]
             i = pointer[v]
@@ -348,9 +394,8 @@ def stv(
             pointer[v] = i
             support[ranking[i]] += num[v]
             supporters[ranking[i]].append(v)
-        if len(entries) + len(support) == k:
-            for c in support:
-                entries.append(TraceEntry(c, Fraction(support[c], den), frozenset(supporters[c])))
+        if len(picks) + len(support) == k:
+            picks += [(c, support[c], den, supporters[c]) for c in support]
             break
         winner = max(support, key=support.__getitem__)
         wins = support[winner] * qd >= qn * den
@@ -358,7 +403,7 @@ def stv(
         total = support.pop(removed)
         moving = supporters.pop(removed)
         if wins:
-            entries.append(TraceEntry(winner, Fraction(total, den), frozenset(moving)))
+            picks.append((winner, total, den, moving))
             scale = total * qd
             keep = scale - qn * den
             kept = [num[v] * keep for v in moving]
@@ -370,8 +415,12 @@ def stv(
             num = [w // g for w in num]
             den //= g
             support = {c: s * scale // g for c, s in support.items()}
-    chosen = [entry.project for entry in entries]
-    return make_budget(instance, chosen), RuleTrace("stv", tuple(entries))
+
+    def build() -> tuple[tuple[TraceEntry, ...], None]:
+        entries = tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in picks)
+        return entries, None
+
+    return make_budget(instance, [c for c, _, _, _ in picks]), RuleTrace._deferred("stv", build)
 
 
 # --- registry --------------------------------------------------------------------

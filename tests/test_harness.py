@@ -336,6 +336,28 @@ def test_replay_unknown_case():
         replay_trial(small_config(), "nope", 0)
 
 
+def test_the_study_and_replay_build_no_trace(monkeypatch):
+    """A trial reads only each rule's budget, so no rule trace is ever built:
+    with every trace's build made to fail, the study and --replay return what
+    they returned before."""
+    from pbelect.rules import RuleTrace
+
+    config = default_experiment_config(trial_counts=(50,))
+    rows = run_experiment(config)
+    replays = [replay_trial(config, case.name, 7) for case in config.cases]
+    deferred = RuleTrace._deferred.__func__
+
+    def unbuildable(cls, rule, build):
+        def fail():
+            raise AssertionError(f"the study built a {rule} trace")
+
+        return deferred(cls, rule, fail)
+
+    monkeypatch.setattr(RuleTrace, "_deferred", classmethod(unbuildable))
+    assert run_experiment(config) == rows
+    assert [replay_trial(config, case.name, 7) for case in config.cases] == replays
+
+
 def test_trial_failure_reports_replay_coordinates(monkeypatch):
     from dataclasses import replace
 

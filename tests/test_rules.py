@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,8 +24,12 @@ from pbelect.core import (
     validate_assignment,
 )
 from pbelect.rules import (
+    APPROVAL,
     BORDA,
+    DROOP,
+    HARE,
     RULES,
+    RuleTrace,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
@@ -312,6 +318,63 @@ def test_monroe_oracle_assignment_matches_full_enumeration():
                 best = max(best, total)
         assert score == best
         validate_assignment(inst, brute_force_monroe_optimal(inst, 2)[0], assignment)
+
+
+# --- deferred traces -------------------------------------------------------------------
+
+def _ranked_unit(limit: int) -> Instance:
+    """Seven voters over four unit-cost projects, ballots the first two of each ranking."""
+    rankings = [
+        (0, 1, 2, 3), (0, 2, 1, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 1, 2, 0), (1, 2, 0, 3), (0, 3, 1, 2)
+    ]
+    return Instance([1] * 4, [set(r[:2]) for r in rankings], limit, rankings=rankings)
+
+
+DEFERRED_CASES = {
+    "sccr-approval": lambda: seq_chamberlin_courant(Instance([5, 3, 3], [{0}, {0}, {1, 2}], 6)),
+    "sccr-borda": lambda: seq_chamberlin_courant(_ranked_unit(3), BORDA),
+    **{
+        f"smr-{mode}-k{k}": (lambda mode=mode, k=k: seq_monroe(_ranked_unit(k), mode))
+        for mode in (APPROVAL, BORDA)
+        for k in (1, 2, 3)
+    },
+    "stv-hare": lambda: stv(_ranked_unit(3), quota=HARE),  # scores 3, 31/9 and 11/9
+    "stv-droop": lambda: stv(_ranked_unit(3), quota=DROOP),
+    "stv-elect-all": lambda: stv(_ranked_unit(4)),  # k = m: one round elects every candidate
+    # after p0's election p2 is eliminated, and the last round elects the one candidate left
+    "stv-elect-rest": lambda: stv(
+        Instance([1, 1, 1], [{0}, {0}, {1}, {2}], 2, rankings=[(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DEFERRED_CASES))
+def test_a_deferred_trace_behaves_like_an_eager_one(case):
+    """A rule's trace is a plain RuleTrace that builds its fields on the first
+    read, whichever operation reads them, and keeps what it built."""
+    run = DEFERRED_CASES[case]
+    source = run()[1]
+    eager = RuleTrace(source.rule, source.entries, source.assignment)
+    assert source.entries  # every case funds a project
+    assert type(run()[1]) is RuleTrace
+    assert run()[1] == eager
+    assert eager == run()[1]
+    assert repr(run()[1]) == repr(eager)
+    assert run()[1].to_dict() == eager.to_dict()
+    assert pickle.loads(pickle.dumps(run()[1])) == eager
+    assert copy.deepcopy(run()[1]) == eager
+    trace = run()[1]
+    assert (trace.assignment is None) == (trace.rule != "smr")
+    assert trace.entries is trace.entries
+    assert trace.assignment is trace.assignment
+    assert not hasattr(trace, "voters")
+    assert "to_dict" in RuleTrace.__dict__
+
+
+def test_an_eager_trace_keeps_its_defaults_and_pickles():
+    trace = RuleTrace("stv", ())
+    assert trace.assignment is None
+    assert pickle.loads(pickle.dumps(trace)) == trace == copy.deepcopy(trace)
 
 
 # --- cross-rule invariants -------------------------------------------------------------
