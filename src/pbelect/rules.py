@@ -194,8 +194,7 @@ def seq_chamberlin_courant(
             rank_sums = list(map(operator.sub, rank_sums, covered))
 
     def build() -> tuple[tuple[TraceEntry, ...], None]:
-        entries = tuple(TraceEntry(p, score, frozenset(voter_ids(mask))) for p, score, mask in picks)
-        return entries, None
+        return _trace_entries(picks), None
 
     return make_budget(instance, chosen), RuleTrace._deferred("sccr", build)
 
@@ -216,12 +215,9 @@ def committee_size(instance: Instance) -> int:
     return min(instance.limit // _uniform_cost(instance), instance.m)
 
 
-def _score_vectors(instance: Instance, mode: str) -> list[list[int]]:
-    """Per project, every voter's score for it, indexed by voter id: 1 if the
-    voter approves it and 0 otherwise, or under borda ``m - rank``."""
+def _score_vectors(instance: Instance) -> list[list[int]]:
+    """Per project, every voter's borda score for it, ``m - rank``, indexed by voter id."""
     m = instance.m
-    if mode == APPROVAL:
-        return [[1 if p in ballot else 0 for ballot in instance.ballots] for p in range(m)]
     rankings = instance.rankings
     assert rankings is not None
     scores = [[0] * instance.n for _ in range(m)]
@@ -267,6 +263,53 @@ def _best_pair(
     return (a, order[:size]), (b, order[size:])
 
 
+def _lowest_bits(mask: int, c: int) -> int:
+    """The ``c`` lowest set bits of a non-negative ``mask``, or all of them if it has fewer."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    # the part after the c-th "1" holds the bits to drop; it is empty if there is no c-th "1"
+    return mask & ~(-1 << len(bits) - len(bits.split("1", c)[-1]))
+
+
+def _best_pair_by_counts(masks: tuple[int, ...], n: int, capacity: int) -> tuple[int, int, int]:
+    """``_best_pair`` under approval scoring, as ``(a, b, the mask of a's voters)``.
+
+    Every score difference is 1, 0 or -1, so the sorted differences of a pair
+    with approver masks A and B are ``|A & ~B|`` ones, then ``n - |A ^ B|``
+    zeros, then ``|B & ~A|`` minus ones. The first best prefix size is the
+    count of ones clamped to lo..hi, and the pair's total is ``|B|`` plus the
+    prefix sum there. The winner's a takes that many voters in the sort's
+    order: from A∖B, then from the voters who approve both or neither, then
+    from B∖A, each in ascending id order.
+    """
+    lo, hi = max(0, n - capacity), min(capacity, n)
+    counts = [mask.bit_count() for mask in masks]
+    best_total = -1
+    for a, b in itertools.combinations(range(len(masks)), 2):
+        both = (masks[a] & masks[b]).bit_count()
+        ones = counts[a] - both
+        zeros = n - ones - counts[b] + both
+        size = min(max(ones, lo), hi)
+        total = counts[b] + min(size, ones) - max(0, size - ones - zeros)
+        if total > best_total:
+            best_total, best, best_size = total, (a, b), size
+    a, b = best
+    only_a, only_b = masks[a] & ~masks[b], masks[b] & ~masks[a]
+    to_a = 0
+    for group in (only_a, ((1 << n) - 1) ^ only_a ^ only_b, only_b):
+        to_a |= _lowest_bits(group, best_size - to_a.bit_count())
+    return a, b, to_a
+
+
+def _voter_mask(voters: Iterable[int]) -> int:
+    """The bitmask of distinct voter ids."""
+    return sum(1 << v for v in voters)
+
+
+def _trace_entries(picks: list[tuple[int, int, int]]) -> tuple[TraceEntry, ...]:
+    """The trace entries of picks recorded as ``(project, score, voter mask)``."""
+    return tuple(TraceEntry(p, score, frozenset(voter_ids(mask))) for p, score, mask in picks)
+
+
 def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget, RuleTrace]:
     """Assignment greedy for equal-cost instances.
 
@@ -277,38 +320,56 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
     replaces the greedy; for k = 1, with capacity n, the greedy's pick is the
     optimum. The trace carries the assignment, read off its entries.
 
-    Unassigned voters are a bitmask. Under approval scoring a project's top
-    voters are its unassigned approvers and then other unassigned voters, each
-    in ascending id order (low bits first), so its score is min(capacity,
-    popcount of its approver mask ANDed with the unassigned one). Under borda
-    scoring each project's voter order is sorted once per instance and filtered
-    each round.
+    Under approval scoring the rule works on voter bitmasks alone. For k = 2,
+    pairs are ranked by a closed form over the popcounts of their approver
+    masks (``_best_pair_by_counts``). Otherwise unassigned voters are a
+    bitmask; a project's top voters are its unassigned approvers and then
+    other unassigned voters, each in ascending id order (low bits first), so
+    its score is min(capacity, popcount of its approver mask ANDed with the
+    unassigned one), and each pick is a mask. Only borda scoring sorts: over
+    each pair's score differences for k = 2, and otherwise each project's
+    voter order once per instance, filtered each round.
     """
     _check_mode(instance, mode)
     k = committee_size(instance)
     n = instance.n
     cap = -(-n // k)
-    if k == 2:
-        scores = _score_vectors(instance, mode)
+    everyone = (1 << n) - 1
+    masks = instance.approver_masks
+    picks: list[tuple[int, int, int]] = []  # (project, total, voter mask)
+    if k == 2 and mode == APPROVAL:
+        a, b, to_a = _best_pair_by_counts(masks, n, cap)
+        to_b = everyone ^ to_a
+        picks = [(a, (masks[a] & to_a).bit_count(), to_a), (b, (masks[b] & to_b).bit_count(), to_b)]
+    elif k == 2:
+        scores = _score_vectors(instance)
         picks = [
-            (p, sum(scores[p][v] for v in voters), voters) for p, voters in _best_pair(scores, cap)
+            (p, sum(scores[p][v] for v in voters), _voter_mask(voters))
+            for p, voters in _best_pair(scores, cap)
         ]
     else:
-        masks = instance.approver_masks
         if mode == BORDA:
-            scores = _score_vectors(instance, mode)
+            scores = _score_vectors(instance)
             # a reverse sort is stable, so voters tied on a score stay in ascending id order
             orders = [sorted(range(n), key=s.__getitem__, reverse=True) for s in scores]
-        unassigned = (1 << n) - 1  # bit v: voter v has no representative yet
-        remaining = list(range(instance.m))  # unselected, ascending, so max() keeps the lowest id
-        picks = []  # (project, total, voters)
+        unassigned = everyone  # bit v: voter v has no representative yet
+        remaining = list(range(instance.m))  # unselected, ascending, so ties go to the lowest id
         for _ in range(k):
             if mode == APPROVAL:
-                best = max(remaining, key=lambda p: min(cap, (masks[p] & unassigned).bit_count()))
-                top = list(itertools.islice(voter_ids(masks[best] & unassigned), cap))
-                total = len(top)
-                if total < cap:
-                    top += itertools.islice(voter_ids(unassigned & ~masks[best]), cap - total)
+                # scores are capped, so the first project to reach capacity wins the tie
+                total = -1
+                for i, p in enumerate(remaining):
+                    count = (masks[p] & unassigned).bit_count()
+                    if count > total:
+                        total, at = count, i
+                        if count >= cap:
+                            break
+                best = remaining.pop(at)
+                approvers = masks[best] & unassigned
+                if total >= cap:
+                    total, top = cap, _lowest_bits(approvers, cap)
+                else:
+                    top = approvers | _lowest_bits(unassigned ^ approvers, cap - total)
             else:
                 free = set(voter_ids(unassigned))
                 tops = {
@@ -317,14 +378,13 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
                 }
                 totals = {p: sum(scores[p][v] for v in tops[p]) for p in remaining}
                 best = max(remaining, key=totals.__getitem__)
-                top, total = tops[best], totals[best]
+                top, total = _voter_mask(tops[best]), totals[best]
+                remaining.remove(best)
             picks.append((best, total, top))
-            remaining.remove(best)
-            for v in top:
-                unassigned ^= 1 << v
+            unassigned ^= top
 
     def build() -> tuple[tuple[TraceEntry, ...], Assignment]:
-        entries = tuple(TraceEntry(p, total, frozenset(voters)) for p, total, voters in picks)
+        entries = _trace_entries(picks)
         rep = {v: entry.project for entry in entries for v in entry.voters}
         return entries, Assignment(rep, cap)
 

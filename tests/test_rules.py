@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbelect import rules
 from pbelect.axioms import UJR, check_axiom
 from pbelect.core import (
     ConfigurationError,
@@ -22,7 +23,10 @@ from pbelect.core import (
     is_exhaustive,
     is_feasible,
     validate_assignment,
+    voter_ids,
 )
+from pbelect.culture import CultureConfig, equal_valued_culture, generate
+from pbelect.harness import default_experiment_config, run_experiment
 from pbelect.rules import (
     APPROVAL,
     BORDA,
@@ -30,6 +34,7 @@ from pbelect.rules import (
     HARE,
     RULES,
     RuleTrace,
+    _lowest_bits,
     committee_size,
     seq_chamberlin_courant,
     seq_monroe,
@@ -144,6 +149,53 @@ def test_smr_borda_exact_pair():
     assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
     assert dict(assignment.rep) == {0: 0, 1: 1}
+
+
+def test_smr_approval_path_builds_no_score_vector(monkeypatch):
+    """Under approval scoring smr works on approver masks alone: with the
+    borda helpers made to raise, it returns what it returned before on
+    seed-0 trials with k = 1, 2 and 3 or more, and so does a serial study,
+    while borda still reaches both helpers."""
+    cultures = (equal_valued_culture(), CultureConfig(cost_model="unit", limit_model="budget"))
+    instances = [generate(culture, t) for culture in cultures for t in range(300)]
+    assert {min(committee_size(instance), 3) for instance in instances} == {1, 2, 3}
+    config = default_experiment_config(trial_counts=(50,))
+    outputs = [seq_monroe(instance, APPROVAL) for instance in instances]
+    rows = run_experiment(config)
+
+    def refuse(name):
+        def helper(*args):
+            raise RuntimeError(f"smr called {name}")
+
+        return helper
+
+    score_vectors = rules._score_vectors
+    monkeypatch.setattr(rules, "_score_vectors", refuse("_score_vectors"))
+    monkeypatch.setattr(rules, "_best_pair", refuse("_best_pair"))
+    assert [seq_monroe(instance, APPROVAL) for instance in instances] == outputs
+    assert run_experiment(config) == rows
+    pair = Instance([1] * 3, [{0}, {1}, {2}], 2, rankings=[(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    greedy = Instance([1] * 3, [{0}, {1}, {2}], 3, rankings=[(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    for instance in (pair, greedy):
+        with pytest.raises(RuntimeError, match="_score_vectors"):
+            seq_monroe(instance, BORDA)
+    monkeypatch.setattr(rules, "_score_vectors", score_vectors)
+    with pytest.raises(RuntimeError, match="_best_pair"):
+        seq_monroe(pair, BORDA)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(1, 2**64), st.integers(2**64, 2**260)),
+    st.integers(0, 300),
+)
+def test_lowest_bits_keeps_the_first_voters(mask, c):
+    """``_lowest_bits(mask, c)`` is the mask of the first c ids of
+    ``voter_ids(mask)``: all of them when c reaches the popcount, none when c is 0."""
+    expected = sum(1 << v for v in itertools.islice(voter_ids(mask), c))
+    assert _lowest_bits(mask, c) == expected
+    assert _lowest_bits(mask, 0) == 0
+    assert _lowest_bits(mask, mask.bit_count()) == _lowest_bits(mask, mask.bit_count() + c) == mask
 
 
 # --- single transferable vote -------------------------------------------------------

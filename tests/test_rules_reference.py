@@ -73,14 +73,14 @@ def ranked_unit_instances(draw, max_n=30, max_m=8):
 
 
 @st.composite
-def wide_instances(draw, unit_cost=False, max_n=200, max_m=8):
+def wide_instances(draw, unit_cost=False, max_n=200, max_m=8, size=None):
     """Ranked instances with up to max_n voters, so voter bitmasks often span
     several machine words. Ballots and rankings come from a seeded Random to
     keep the draw small; in mirrored instances every odd voter ranks in the
     reverse order of the voter before, so borda scores tie across projects.
     Costs run from 0 to 6 (zero only where allowed); with ``unit_cost`` they
-    are one equal cost and the limit affords at least three projects, which is
-    smr's greedy path."""
+    are one equal cost and the limit affords ``size`` projects, by default at
+    least three, which is smr's greedy path."""
     m = draw(st.integers(3 if unit_cost else 1, max_m))
     n = draw(st.integers(1, max_n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -92,7 +92,8 @@ def wide_instances(draw, unit_cost=False, max_n=200, max_m=8):
     if unit_cost:
         unit = draw(st.integers(1, 3))
         costs = [unit] * m
-        limit = unit * draw(st.integers(3, m + 1)) + draw(st.integers(0, unit - 1))
+        afford = draw(st.integers(3, m + 1)) if size is None else size
+        limit = unit * afford + draw(st.integers(0, unit - 1))
     else:
         costs = draw(st.lists(st.integers(0 if allow_zero_cost else 1, 6), min_size=m, max_size=m))
         limit = draw(st.integers(max(1, *costs), sum(costs) + 1))
@@ -113,6 +114,16 @@ def test_smr_matches_reference(instance, mode):
 @settings(max_examples=100, deadline=None)
 @given(wide_instances(unit_cost=True), st.sampled_from([APPROVAL, BORDA]))
 def test_smr_matches_reference_on_wide_instances(instance, mode):
+    assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
+        lambda: ref_seq_monroe(instance, mode)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_instances(unit_cost=True, size=2), st.sampled_from([APPROVAL, BORDA]))
+def test_smr_k2_matches_reference_on_wide_instances(instance, mode):
+    """smr's exact pair search, which under approval ranks pairs by popcounts
+    and splits the winner from masks, on voter masks of several machine words."""
     assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
         lambda: ref_seq_monroe(instance, mode)
     )
@@ -157,7 +168,18 @@ def test_reference_covers_both_smr_paths_and_stv_errors():
     for a k over the committee size; a fixed instance of each keeps that visible."""
     pair = Instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 2, rankings=[(0, 1, 2, 3)] * 5)
     greedy = Instance([1] * 4, [{0}, {0, 1}, {1}, {2}, {3}], 3, rankings=[(3, 1, 2, 0)] * 5)
-    for instance in (pair, greedy):
+    # 130 voters, capacity 65: project 2 copies project 1, so pairs (0, 1) and (0, 2)
+    # tie on total 130 and the first in combinations order must win; project 0 takes
+    # its 44 sole approvers (ids 0, 3, ..., 129) and then 21 who approve both (2, ..., 62)
+    groups = [({0}, (0, 1, 2)), ({1, 2}, (1, 2, 0)), ({0, 1, 2}, (2, 0, 1))]
+    wide = Instance(
+        [1] * 3, [groups[v % 3][0] for v in range(130)], 2, rankings=[groups[v % 3][1] for v in range(130)]
+    )
+    budget, trace = seq_monroe(wide)
+    assert budget.selected == {0, 1}
+    to_a, to_b = (entry.voters for entry in trace.entries)
+    assert len(to_a) == 65 and max(to_a) == 129 and min(to_b) == 1 < 64 < max(to_b)
+    for instance in (pair, greedy, wide):
         for mode in (APPROVAL, BORDA):
             assert _outcome(lambda: seq_monroe(instance, mode)) == _outcome(
                 lambda: ref_seq_monroe(instance, mode)
