@@ -4,16 +4,16 @@ Money is integral throughout, so feasibility and exhaustiveness are exact
 integer comparisons with no tolerance questions. Instances validate on
 construction and are immutable afterwards; every operation below is a pure
 function and safe to call concurrently. The one instance built without the
-checks is ``culture.generate``'s, valid by construction; the test suite, not
-the study's hot path, checks that the checks would pass it unchanged.
+checks is ``culture.generate``'s, valid by construction, which builds its
+ballots from its approver masks on first read; the test suite checks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, count
-from typing import Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 
 class ValidationError(ValueError):
@@ -107,8 +107,38 @@ def _rankings(rankings: tuple, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rankings))
 
 
+class _Deferrable:
+    """A frozen dataclass whose deferred objects skip ``__post_init__``, hold the
+    fields and cached values given, and take the rest from the pure ``build()``
+    at the first read of any (two racing threads at worst build twice). A field
+    with a class default must be given: its read never reaches ``__getattr__``.
+    """
+
+    @classmethod
+    def _deferred(cls, build: Callable[[], dict], **known: object):
+        self = object.__new__(cls)
+        vars(self).update(known, _build=build)
+        return self
+
+    def __getattr__(self, name: str):
+        # reached only for names not yet set: a deferred object's fields before their first read
+        state = vars(self)
+        build = state.get("_build")
+        if build is not None and name in self.__dataclass_fields__:
+            state.update(build())
+            state.pop("_build", None)
+        try:
+            return state[name]  # set above, or by a thread whose first read came first
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __reduce__(self):
+        # a deferred object holds a closure, which does not pickle: all reduce to the constructor
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(_Deferrable):
     """One participatory-budgeting election.
 
     A project is its index ``p`` and costs ``costs[p]``. ``ballots[i]`` is
@@ -118,7 +148,7 @@ class Instance:
     always rejected. Every field is checked here; lists are accepted and
     stored as tuples and frozensets, and anything malformed raises
     ValidationError. The one exception is ``culture.generate``, whose
-    instances skip the checks through a private constructor.
+    instances skip the checks and build ``ballots`` from ``approver_masks``.
     """
 
     costs: tuple[int, ...]
@@ -162,27 +192,7 @@ class Instance:
             raise ValidationError("rankings, when given, must cover every voter")
         object.__setattr__(self, "rankings", _rankings(rankings, m))
 
-    @classmethod
-    def _unchecked(
-        cls,
-        costs: tuple[int, ...],
-        ballots: tuple[frozenset[int], ...],
-        limit: int,
-        rankings: tuple[tuple[int, ...], ...] | None,
-    ) -> Instance:
-        """An instance from fields already valid and in their stored types,
-        without ``__post_init__``; only ``culture.generate`` calls this, and
-        tests/test_culture.py checks that ``Instance(...)`` rebuilds its output
-        equal."""
-        instance = object.__new__(cls)
-        object.__setattr__(instance, "costs", costs)
-        object.__setattr__(instance, "ballots", ballots)
-        object.__setattr__(instance, "limit", limit)
-        object.__setattr__(instance, "rankings", rankings)
-        object.__setattr__(instance, "allow_zero_cost", False)
-        return instance
-
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.ballots)
 
@@ -193,17 +203,31 @@ class Instance:
     @cached_property
     def approver_masks(self) -> tuple[int, ...]:
         """For each project, the voters approving it as a bitmask: bit v is voter v."""
-        masks = [0] * self.m
-        for v, ballot in enumerate(self.ballots):
-            bit = 1 << v
-            for p in ballot:
-                masks[p] |= bit
-        return tuple(masks)
+        return masks_from_ballots(self.ballots, self.m)
+
+
+def masks_from_ballots(ballots: Iterable[Iterable[int]], m: int) -> tuple[int, ...]:
+    """For each of the m projects, the bitmask of the ballots' voters approving it."""
+    masks = [0] * m
+    for v, ballot in enumerate(ballots):
+        bit = 1 << v
+        for p in ballot:
+            masks[p] |= bit
+    return tuple(masks)
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a reversed bin() as bytes 0 and 1: byte v is bit v
 
 
 def voter_ids(mask: int) -> Iterator[int]:
     """The voters whose bits are set in a non-negative ``mask``, in ascending order."""
-    return compress(count(), map("1".__eq__, reversed(bin(mask))))
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
+
+
+def ballots_from_masks(masks: Sequence[int], n: int) -> list[list[int]]:
+    """Each of the n voters' approved project ids, ascending: column v of the masks' bit rows."""
+    rows = [bin(mask)[:1:-1].encode().translate(_BITS).ljust(n, b"\x00") for mask in masks]
+    return [list(compress(range(len(masks)), column)) for column in zip(*rows)]
 
 
 @dataclass(frozen=True)
@@ -280,7 +304,7 @@ def instance_to_dict(instance: Instance) -> dict:
     data: dict = {
         "limit": instance.limit,
         "projects": [{"id": p, "cost": cost} for p, cost in enumerate(instance.costs)],
-        "ballots": [sorted(b) for b in instance.ballots],
+        "ballots": ballots_from_masks(instance.approver_masks, instance.n),
     }
     if instance.rankings is not None:
         data["rankings"] = [list(r) for r in instance.rankings]

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, fields
 
-from .core import Instance, ValidationError, as_tuple, json_object
+from .core import (
+    Instance, ValidationError, as_tuple, ballots_from_masks, json_object, masks_from_ballots
+)
 
 UNIT = "unit"
 UNIFORM = "uniform"
@@ -94,8 +96,12 @@ class CultureConfig:
             raise ValidationError(f"unknown ballot model {self.ballot_model!r}")
         if type(self.approval_prob) not in (int, float):
             raise ValidationError("approval_prob must be a number")
-        if self.ballot_model == BERNOULLI and not 0 < self.approval_prob <= 1:
-            raise ValidationError("approval_prob must be in (0, 1] for bernoulli ballots")
+        if self.ballot_model == BERNOULLI:
+            if not 0 < self.approval_prob <= 1:
+                raise ValidationError("approval_prob must be in (0, 1] for bernoulli ballots")
+            # an empty ballot's chance; capping m at 2**40 keeps it a float and changes no verdict
+            if (1 - self.approval_prob) ** min(self.m_range[0], 2**40) > 1 - 2**-20:
+                raise ValidationError("approval_prob gives a voter over 2**20 expected draws")
         if type(self.master_seed) is not int:
             raise ValidationError("master_seed must be an integer")
 
@@ -113,7 +119,7 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 
 def _prefix_ballots(
     rng: random.Random, n: int, m: int
-) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
     """n full rankings of the m projects, each with its top t entries approved.
 
     Each voter's draws are those of ``rng.sample(range(m), m)`` followed by
@@ -127,7 +133,7 @@ def _prefix_ballots(
     cut_width = m - 1
     cut_bits = cut_width.bit_length()
     rankings: list[tuple[int, ...]] = []
-    ballots: list[frozenset[int]] = []
+    ballots: list[list[int]] = []
     for _ in range(n):
         pool = ids.copy()
         picks: list[int] = []
@@ -141,10 +147,9 @@ def _prefix_ballots(
         cutoff = getrandbits(cut_bits)
         while cutoff >= cut_width:
             cutoff = getrandbits(cut_bits)
-        ranking = tuple(picks)
-        rankings.append(ranking)
-        ballots.append(frozenset(ranking[: cutoff + 1]))
-    return rankings, ballots
+        rankings.append(tuple(picks))
+        ballots.append(picks[: cutoff + 1])
+    return tuple(rankings), ballots
 
 
 def generate(config: CultureConfig, trial_index: int) -> Instance:
@@ -152,10 +157,11 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
 
     Integers are drawn from ``getrandbits`` as ``randint`` and ``sample``
     draw them, so an instance depends on the trial seed and MT19937 alone.
-    The instance is valid by construction, so it is built without
-    ``Instance``'s checks; tests/test_culture.py (a property test over valid
-    configs) and criterion 6 of tests/test_acceptance.py (the study's seed-0
-    stream) check that ``Instance(...)`` rebuilds it equal.
+    The instance is valid by construction, so it skips ``Instance``'s checks
+    and holds approver masks, from which its ballots are built only if read;
+    tests/test_culture.py (a property test over valid configs) and criterion 6
+    of tests/test_acceptance.py (the study's seed-0 stream) check that
+    ``Instance(...)`` rebuilds it equal.
     """
     if type(trial_index) is not int or trial_index < 0:
         raise ValidationError("trial index must be a non-negative integer")
@@ -172,20 +178,20 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
         max_cost = max(costs)
         half_total = (sum(costs) + 1) // 2
         limit = max_cost if half_total < max_cost else _randint(rng, max_cost, half_total)
-    rankings: list[tuple[int, ...]] | None = None
+    rankings: tuple[tuple[int, ...], ...] | None = None
     if config.ballot_model == PREFIX:
         rankings, ballots = _prefix_ballots(rng, n, m)
     else:
         ballots = []
-        for _ in range(n):
-            approved: frozenset[int] = frozenset()
-            while not approved:
-                approved = frozenset(
-                    p for p in range(m) if rng.random() < config.approval_prob
-                )
-            ballots.append(approved)
-    return Instance._unchecked(
-        tuple(costs), tuple(ballots), limit, None if rankings is None else tuple(rankings)
+        while len(ballots) < n:  # an empty ballot is drawn again
+            approved = [p for p in range(m) if rng.random() < config.approval_prob]
+            if approved:
+                ballots.append(approved)
+    masks = masks_from_ballots(ballots, m)
+    return Instance._deferred(
+        lambda: {"ballots": tuple(map(frozenset, ballots_from_masks(masks, n)))},
+        costs=tuple(costs), limit=limit, rankings=rankings, allow_zero_cost=False,
+        n=n, approver_masks=masks,
     )
 
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
 from .core import (
+    _Deferrable,
     Assignment,
     Budget,
     ConfigurationError,
@@ -48,49 +49,19 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
-class RuleTrace:
+class RuleTrace(_Deferrable):
     """Audit log of a rule run: one entry per selected project, in order.
 
     ``RuleTrace(rule, entries, assignment)`` holds what it is given. A rule
-    records its picks as plain tuples and returns a trace that builds
-    ``entries`` and ``assignment`` from them on the first read of either (and
-    so on the first ``to_dict``, ``==``, ``repr`` or pickle), so a caller that
-    reads only the budget does not pay for them. The build is pure: two
-    threads that race on the first read at worst build the trace twice.
+    records its picks as plain tuples and returns a trace that builds ``entries``
+    (and smr's ``assignment``) from them on first read, so a caller that reads
+    only the budget does not pay for them.
     """
 
     rule: str
     entries: tuple[TraceEntry, ...]
     # a factory leaves no class attribute, so a deferred trace's first read reaches __getattr__
     assignment: Assignment | None = field(default_factory=lambda: None)  # set by smr
-
-    @classmethod
-    def _deferred(
-        cls, rule: str, build: Callable[[], tuple[tuple[TraceEntry, ...], Assignment | None]]
-    ) -> RuleTrace:
-        """The trace whose ``(entries, assignment)`` is ``build()``, run at the first read."""
-        trace = object.__new__(cls)
-        object.__setattr__(trace, "rule", rule)
-        object.__setattr__(trace, "_build", build)
-        return trace
-
-    def __getattr__(self, name: str):
-        # reached only for names not yet set: a deferred trace's fields before their first read
-        state = vars(self)
-        build = state.get("_build")
-        if build is not None and name in ("entries", "assignment"):
-            entries, assignment = build()
-            object.__setattr__(self, "entries", entries)
-            object.__setattr__(self, "assignment", assignment)
-            state.pop("_build", None)
-        try:
-            return state[name]  # set above, or by a thread whose first read came first
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __reduce__(self):
-        # a deferred trace holds a closure, which does not pickle: both kinds reduce to the eager one
-        return RuleTrace, (self.rule, self.entries, self.assignment)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -193,10 +164,8 @@ def seq_chamberlin_courant(
             covered = _rank_sums([rankings[v] for v in voter_ids(newly)], m)
             rank_sums = list(map(operator.sub, rank_sums, covered))
 
-    def build() -> tuple[tuple[TraceEntry, ...], None]:
-        return _trace_entries(picks), None
-
-    return make_budget(instance, chosen), RuleTrace._deferred("sccr", build)
+    trace = RuleTrace._deferred(lambda: {"entries": _trace_entries(picks)}, rule="sccr", assignment=None)
+    return make_budget(instance, chosen), trace
 
 
 # --- quota-capacity assignment greedy ------------------------------------------
@@ -383,13 +352,13 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
             picks.append((best, total, top))
             unassigned ^= top
 
-    def build() -> tuple[tuple[TraceEntry, ...], Assignment]:
+    def build() -> dict:
         entries = _trace_entries(picks)
         rep = {v: entry.project for entry in entries for v in entry.voters}
-        return entries, Assignment(rep, cap)
+        return {"entries": entries, "assignment": Assignment(rep, cap)}
 
     chosen = [p for p, _, _ in picks]
-    return make_budget(instance, chosen), RuleTrace._deferred("smr", build)
+    return make_budget(instance, chosen), RuleTrace._deferred(build, rule="smr")
 
 
 # --- single transferable vote ---------------------------------------------------
@@ -476,11 +445,12 @@ def stv(
             den //= g
             support = {c: s * scale // g for c, s in support.items()}
 
-    def build() -> tuple[tuple[TraceEntry, ...], None]:
+    def build() -> dict:
         entries = tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in picks)
-        return entries, None
+        return {"entries": entries}
 
-    return make_budget(instance, [c for c, _, _, _ in picks]), RuleTrace._deferred("stv", build)
+    trace = RuleTrace._deferred(build, rule="stv", assignment=None)
+    return make_budget(instance, [c for c, _, _, _ in picks]), trace
 
 
 # --- registry --------------------------------------------------------------------

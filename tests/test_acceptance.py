@@ -176,12 +176,18 @@ def test_criterion_5_greedy_bound_and_small_k_optimality():
 
 
 def _rebuilds_equal(instance: Instance) -> bool:
-    """Whether Instance's checks, which generate skips, accept ``instance`` unchanged."""
+    """Whether Instance's checks, which generate skips, accept ``instance``
+    unchanged, with the approver masks it was generated with, and each of its
+    ballots is a non-empty proper prefix of its voter's ranking."""
     try:
         rebuilt = Instance(instance.costs, instance.ballots, instance.limit, instance.rankings)
     except ValidationError:
         return False
-    return rebuilt == instance
+    prefixes = all(
+        0 < len(ballot) < instance.m and ballot == frozenset(ranking[: len(ballot)])
+        for ballot, ranking in zip(instance.ballots, instance.rankings)
+    )
+    return rebuilt == instance and rebuilt.approver_masks == instance.approver_masks and prefixes
 
 
 def test_criterion_6_feasibility_exhaustiveness_capacity(full_run):

@@ -219,6 +219,20 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_gen_refuses_a_culture_whose_ballots_are_almost_never_non_empty(tmp_path, capsys):
+    """At approval_prob 1e-300 a ballot draw approves nothing but when random()
+    returns 0.0, so gen would redraw the first voter's ballot without end."""
+    culture = {"ballot_model": "bernoulli", "approval_prob": 1e-300}
+    config = write_json(tmp_path / "culture.json", culture)
+    code = main(["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-input: approval_prob")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json"]
+
+
 # --- run-rule ----------------------------------------------------------------------
 
 def test_run_rule_sccr_stdout(instance_file, capsys):

@@ -13,6 +13,7 @@ from pbelect.core import (
     ContractError,
     Instance,
     ValidationError,
+    ballots_from_masks,
     budget_from_dict,
     budget_to_dict,
     instance_from_dict,
@@ -20,7 +21,9 @@ from pbelect.core import (
     is_exhaustive,
     is_feasible,
     make_budget,
+    masks_from_ballots,
     validate_assignment,
+    voter_ids,
 )
 
 from conftest import coverage, prefix_coherent, random_costed_instance
@@ -167,6 +170,26 @@ def test_prefix_coherence_detection():
     assert prefix_coherent(inst)
     askew = Instance([1, 1, 1], [{0}], 2, rankings=[(1, 0, 2)])
     assert not prefix_coherent(askew)
+
+
+# --- voter masks ----------------------------------------------------------------------
+
+def _set_bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**130 - 1), min_size=1, max_size=8), st.integers(0, 10))
+def test_voter_ids_and_ballots_from_masks_read_the_set_bits(masks, extra):
+    """voter_ids lists a mask's set bits; ballots_from_masks lists, for each of
+    n voters, the projects whose masks hold its bit, and masks_from_ballots
+    inverts it."""
+    for mask in masks:
+        assert list(voter_ids(mask)) == _set_bits(mask)
+    n = max(1, *(mask.bit_length() for mask in masks)) + extra  # an instance has a voter
+    ballots = ballots_from_masks(masks, n)
+    assert ballots == [[p for p, mask in enumerate(masks) if v in _set_bits(mask)] for v in range(n)]
+    assert masks_from_ballots(ballots, len(masks)) == tuple(masks)
 
 
 # --- assignment validation ------------------------------------------------------------

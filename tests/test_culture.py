@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbelect.core import Instance, ValidationError
+from pbelect.core import Instance, ValidationError, masks_from_ballots
 from pbelect.culture import (
     BERNOULLI,
     BUDGET,
@@ -69,15 +71,20 @@ def test_generate_rejects_a_trial_index_no_study_has(trial):
 @pytest.mark.parametrize("m", [3, 5, 12, 20, 40])
 def test_inlined_draws_match_sample_and_randint(m):
     """Each voter's ranking and cutoff are what rng.sample(range(m), m) and then
-    rng.randint(1, m - 1) draw, and the stream ends where those calls leave it."""
+    rng.randint(1, m - 1) draw, and the stream ends where those calls leave it.
+    The approver masks built from the ballots are those of the sampled prefixes."""
     for seed in range(2000):
         ours, theirs = random.Random(seed), random.Random(seed)
         rankings, ballots = _prefix_ballots(ours, 2, m)
-        for ranking, ballot in zip(rankings, ballots):
+        prefixes = []
+        for ranking in rankings:
             expected = tuple(theirs.sample(range(m), m))
-            cutoff = theirs.randint(1, m - 1)
             assert ranking == expected
-            assert ballot == frozenset(expected[:cutoff])
+            prefixes.append(expected[: theirs.randint(1, m - 1)])
+        assert ballots == [list(prefix) for prefix in prefixes]
+        assert masks_from_ballots(ballots, m) == tuple(
+            sum(1 << v for v, prefix in enumerate(prefixes) if p in prefix) for p in range(m)
+        )
         for lo, hi in ((1, m), (m, m), (2, m - 1), (m, 10 * m)):
             assert _randint(ours, lo, hi) == theirs.randint(lo, hi)
         assert ours.random() == theirs.random()
@@ -108,18 +115,57 @@ def culture_configs(draw) -> CultureConfig:
 @given(culture_configs(), st.integers(0, 10**6))
 def test_generate_yields_a_valid_instance(config, trial):
     """generate builds its instance without Instance's checks, which would
-    accept it unchanged."""
+    accept it unchanged, and with masks that agree with the ballots built
+    from them; a prefix ballot is a non-empty proper prefix of its ranking."""
     g = generate(config, trial)
     checked = Instance(g.costs, g.ballots, g.limit, g.rankings)
     assert checked == g and hash(checked) == hash(g)
+    assert checked.approver_masks == g.approver_masks and checked.n == g.n
     # the stored types too: frozenset == set would let a set ballot through
     assert type(g.costs) is tuple and all(type(cost) is int for cost in g.costs)
     assert type(g.ballots) is tuple and all(type(ballot) is frozenset for ballot in g.ballots)
     assert type(g.limit) is int and g.allow_zero_cost is False
     if config.ballot_model == PREFIX:
         assert type(g.rankings) is tuple and all(type(ranking) is tuple for ranking in g.rankings)
+        assert all(
+            0 < len(ballot) < g.m and ballot == frozenset(ranking[: len(ballot)])
+            for ballot, ranking in zip(g.ballots, g.rankings)
+        )
     else:
         assert g.rankings is None
+
+
+GENERATED = {
+    "equal": equal_valued_culture(5),
+    "general": general_case_culture(5),
+    "bernoulli": CultureConfig(ballot_model=BERNOULLI, approval_prob=0.3, master_seed=5),
+}
+
+
+@pytest.mark.parametrize("culture", list(GENERATED))
+def test_a_generated_instance_behaves_like_a_checked_one(culture):
+    """generate's instance builds its ballots from its masks on their first
+    read, whichever operation reads them, and keeps what it built."""
+    config = GENERATED[culture]
+    for trial in range(20):
+        g = generate(config, trial)
+        checked = Instance(g.costs, g.ballots, g.limit, g.rankings)
+        assert type(generate(config, trial)) is Instance
+        assert generate(config, trial) == checked and checked == generate(config, trial)
+        assert hash(generate(config, trial)) == hash(checked)
+        assert repr(generate(config, trial)) == repr(checked)
+        assert pickle.loads(pickle.dumps(generate(config, trial))) == checked
+        assert copy.deepcopy(generate(config, trial)) == checked
+        assert g.ballots is g.ballots
+        assert not hasattr(g, "voters")
+
+
+def test_n_and_approver_masks_build_no_ballots():
+    for config in GENERATED.values():
+        g = generate(config, 3)
+        assert g.n >= 1 and len(g.approver_masks) == g.m
+        assert "ballots" not in vars(g)
+        assert len(g.ballots) == g.n and "ballots" in vars(g)
 
 
 def test_unit_model_invariants():
@@ -200,6 +246,19 @@ def test_rejects_committee_limit_with_uniform_costs():
 def test_rejects_bad_approval_prob():
     with pytest.raises(ValidationError):
         CultureConfig(ballot_model=BERNOULLI, approval_prob=0.0)
+
+
+@pytest.mark.parametrize("m_lo", [3, 20, 2**40, 10**400])
+def test_rejects_an_approval_prob_that_leaves_ballots_empty(m_lo):
+    """A voter redraws an empty ballot, of chance (1 - p) ** m; a config whose
+    smallest m needs over 2**20 expected draws per voter is refused."""
+    with pytest.raises(ValidationError, match="2\\*\\*20 expected draws"):
+        CultureConfig(m_range=(m_lo, m_lo), ballot_model=BERNOULLI, approval_prob=1e-300)
+    with pytest.raises(ValidationError, match="expected draws"):
+        CultureConfig(m_range=(3, 3), ballot_model=BERNOULLI, approval_prob=2**-20 / 3.1)
+    # just under the bound at m = 3, and any chance under the prefix model, are accepted
+    CultureConfig(m_range=(3, 3), ballot_model=BERNOULLI, approval_prob=2**-20 / 2.9)
+    CultureConfig(m_range=(3, 3), ballot_model=PREFIX, approval_prob=1e-300)
 
 
 def test_rejects_bad_cost_bounds():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 import os
 import stat
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from pbelect import harness
-from pbelect.core import ContractError, ValidationError, instance_to_dict
+from pbelect.core import ContractError, Instance, ValidationError, instance_to_dict
 from pbelect.culture import BERNOULLI, CultureConfig, UNIFORM, equal_valued_culture, generate
 from pbelect.harness import (
     CaseConfig,
@@ -336,6 +337,19 @@ def test_replay_unknown_case():
         replay_trial(small_config(), "nope", 0)
 
 
+def _fail_deferred_builds(monkeypatch, cls) -> None:
+    """Make the build of every deferred ``cls`` object fail."""
+    deferred = cls._deferred.__func__
+
+    def unbuildable(cls, build, **known):
+        def fail():
+            raise AssertionError(f"a deferred {cls.__name__} was built: {sorted(known)}")
+
+        return deferred(cls, fail, **known)
+
+    monkeypatch.setattr(cls, "_deferred", classmethod(unbuildable))
+
+
 def test_the_study_and_replay_build_no_trace(monkeypatch):
     """A trial reads only each rule's budget, so no rule trace is ever built:
     with every trace's build made to fail, the study and --replay return what
@@ -345,17 +359,34 @@ def test_the_study_and_replay_build_no_trace(monkeypatch):
     config = default_experiment_config(trial_counts=(50,))
     rows = run_experiment(config)
     replays = [replay_trial(config, case.name, 7) for case in config.cases]
-    deferred = RuleTrace._deferred.__func__
-
-    def unbuildable(cls, rule, build):
-        def fail():
-            raise AssertionError(f"the study built a {rule} trace")
-
-        return deferred(cls, rule, fail)
-
-    monkeypatch.setattr(RuleTrace, "_deferred", classmethod(unbuildable))
+    _fail_deferred_builds(monkeypatch, RuleTrace)
     assert run_experiment(config) == rows
     assert [replay_trial(config, case.name, 7) for case in config.cases] == replays
+
+
+def test_the_study_replay_and_gen_build_no_ballots(monkeypatch, tmp_path):
+    """The rules and the axiom check read a generated instance's approver
+    masks and ``instance_to_dict`` writes its ballots from them, so no
+    ballot set is ever built: with every generated instance's build made to
+    fail, the study, --replay and gen return and write what they did before."""
+    from pbelect.cli import main
+    from pbelect.culture import culture_config_to_dict
+
+    config = default_experiment_config(trial_counts=(50,))
+    culture = tmp_path / "culture.json"
+    culture.write_text(json.dumps(culture_config_to_dict(config.cases[1].culture)))
+    gen = ["gen", "--config", str(culture), "--trial", "7", "--out"]
+
+    def outputs(name: str) -> tuple:
+        assert main([*gen, str(tmp_path / name)]) == 0
+        replays = [replay_trial(config, case.name, 7) for case in config.cases]
+        return run_experiment(config), replays, (tmp_path / name).read_bytes()
+
+    before = outputs("before.json")
+    _fail_deferred_builds(monkeypatch, Instance)
+    assert outputs("after.json") == before
+    with pytest.raises(AssertionError, match="deferred Instance was built"):
+        generate(config.cases[0].culture, 7).ballots
 
 
 def test_trial_failure_reports_replay_coordinates(monkeypatch):
