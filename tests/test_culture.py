@@ -254,6 +254,9 @@ def test_rejects_an_approval_prob_that_leaves_ballots_empty(m_lo):
     smallest m needs over 2**20 expected draws per voter is refused."""
     with pytest.raises(ValidationError, match="2\\*\\*20 expected draws"):
         CultureConfig(m_range=(m_lo, m_lo), ballot_model=BERNOULLI, approval_prob=1e-300)
+
+
+def test_the_approval_prob_bound_sits_at_2_to_the_20_expected_draws():
     with pytest.raises(ValidationError, match="expected draws"):
         CultureConfig(m_range=(3, 3), ballot_model=BERNOULLI, approval_prob=2**-20 / 3.1)
     # just under the bound at m = 3, and any chance under the prefix model, are accepted
