@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, count
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -59,23 +59,8 @@ def _ids_error(voter: int | None, problem: str) -> ValidationError:
 
 def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
     """Every ballot as a non-empty set of distinct ids in 0..m-1; ValidationError
-    naming the first bad voter otherwise.
-
-    A few C-level passes over all voters accept valid ballots. Anything else
-    goes through the per-voter loop, which words the error; it checks every
-    entry, so a ballot such as [1, true], which the set reads as {1}, fails.
-    """
-    if all(issubclass(kind, (list, tuple, set, frozenset)) for kind in set(map(type, ballots))):
-        try:  # after the type test: frozenset() would consume any iterable
-            checked = tuple(map(frozenset, ballots))
-        except TypeError:  # an unhashable entry such as [0]
-            checked = ()
-        # entry types over every ballot: the union would keep 1 and drop true
-        if checked and all(checked) and set(map(type, chain.from_iterable(ballots))) <= {int}:
-            ids = frozenset().union(*checked)
-            distinct = sum(map(len, checked)) == sum(map(len, ballots))  # no ballot repeats an id
-            if distinct and min(ids) >= 0 and max(ids) < m:
-                return checked
+    naming the first bad voter otherwise. Every entry is checked, so a ballot
+    such as [1, true], which a set reads as {1}, fails."""
     sets = []
     for v, ballot in enumerate(ballots):
         ballot = _project_ids(ballot, m, v)
@@ -111,7 +96,8 @@ class _Deferrable:
     """A frozen dataclass whose deferred objects skip ``__post_init__``, hold the
     fields and cached values given, and take the rest from the pure ``build()``
     at the first read of any (two racing threads at worst build twice). A field
-    with a class default must be given: its read never reaches ``__getattr__``.
+    with a class default reads as that default unless given: its read never
+    reaches ``__getattr__``.
     """
 
     @classmethod
@@ -238,18 +224,6 @@ class Budget:
     total_cost: int
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Monroe-style map from voter id to their representative project.
-
-    Each project may represent at most ``capacity`` voters; the map may be
-    partial. Treat instances as immutable even though the mapping is a dict.
-    """
-
-    rep: Mapping[int, int]
-    capacity: int
-
-
 def make_budget(instance: Instance, project_ids: Collection[int]) -> Budget:
     """Build a budget over ``instance`` from a list, tuple or set of project
     ids, computing its total cost."""
@@ -276,26 +250,6 @@ def is_exhaustive(instance: Instance, budget: Budget) -> bool:
         for p in range(instance.m)
         if p not in budget.selected
     )
-
-
-def validate_assignment(
-    instance: Instance, budget: Budget, assignment: Assignment
-) -> None:
-    """Raise ContractError if an assignment breaks membership or capacity."""
-    if assignment.capacity < 1:
-        raise ContractError("assignment capacity must be positive")
-    loads: dict[int, int] = {}
-    for v, p in assignment.rep.items():
-        if not 0 <= v < instance.n:
-            raise ContractError(f"assignment names unknown voter {v}")
-        if p not in budget.selected:
-            raise ContractError(f"voter {v} is assigned to unselected project {p}")
-        loads[p] = loads.get(p, 0) + 1
-    for p, load in loads.items():
-        if load > assignment.capacity:
-            raise ContractError(
-                f"project {p} represents {load} voters, over capacity {assignment.capacity}"
-            )
 
 
 # --- JSON-facing converters -------------------------------------------------

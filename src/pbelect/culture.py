@@ -44,6 +44,8 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 class CultureConfig:
     """Distributions for one impartial-culture stream.
 
+    n_range, m_range: the voters and projects of an instance, each drawn
+        uniformly from its pair [lo, hi]; n_hi * m_hi is at most 2**24.
     cost_model: "unit" (all costs 1) or "uniform" (integer costs in
         [cost_min, cost_max]; the largest cost or limit this can draw,
         max(cost_max, (m_hi * cost_max + 1) // 2), has at most 4,300 digits).
@@ -102,6 +104,8 @@ class CultureConfig:
             # an empty ballot's chance; capping m at 2**40 keeps it a float and changes no verdict
             if (1 - self.approval_prob) ** min(self.m_range[0], 2**40) > 1 - 2**-20:
                 raise ValidationError("approval_prob gives a voter over 2**20 expected draws")
+        if self.n_range[1] * self.m_range[1] > 2**24:
+            raise ValidationError("n_range and m_range allow over 2**24 voter-project pairs")
         if type(self.master_seed) is not int:
             raise ValidationError("master_seed must be an integer")
 

@@ -17,14 +17,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
 from .core import (
     _Deferrable,
-    Assignment,
     Budget,
     ConfigurationError,
     Instance,
@@ -52,16 +51,16 @@ class TraceEntry:
 class RuleTrace(_Deferrable):
     """Audit log of a rule run: one entry per selected project, in order.
 
-    ``RuleTrace(rule, entries, assignment)`` holds what it is given. A rule
+    ``RuleTrace(rule, entries, capacity)`` holds what it is given. A rule
     records its picks as plain tuples and returns a trace that builds ``entries``
-    (and smr's ``assignment``) from them on first read, so a caller that reads
-    only the budget does not pay for them.
+    from them on first read, so a caller that reads only the budget does not
+    pay for them. smr's ``capacity`` is ceil(n/k), and its assignment is the
+    entries' voter sets, each voter represented by its entry's project.
     """
 
     rule: str
     entries: tuple[TraceEntry, ...]
-    # a factory leaves no class attribute, so a deferred trace's first read reaches __getattr__
-    assignment: Assignment | None = field(default_factory=lambda: None)  # set by smr
+    capacity: int | None = None  # set by smr
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -76,11 +75,9 @@ class RuleTrace(_Deferrable):
                 for i, e in enumerate(self.entries, start=1)
             ],
         }
-        if self.assignment is not None:
-            data["assignment"] = {
-                "capacity": self.assignment.capacity,
-                "rep": {str(v): p for v, p in sorted(self.assignment.rep.items())},
-            }
+        if self.capacity is not None:
+            rep = sorted((v, e.project) for e in self.entries for v in e.voters)  # by voter
+            data["assignment"] = {"capacity": self.capacity, "rep": {str(v): p for v, p in rep}}
         return data
 
 
@@ -164,7 +161,7 @@ def seq_chamberlin_courant(
             covered = _rank_sums([rankings[v] for v in voter_ids(newly)], m)
             rank_sums = list(map(operator.sub, rank_sums, covered))
 
-    trace = RuleTrace._deferred(lambda: {"entries": _trace_entries(picks)}, rule="sccr", assignment=None)
+    trace = RuleTrace._deferred(lambda: {"entries": _trace_entries(picks)}, rule="sccr")
     return make_budget(instance, chosen), trace
 
 
@@ -287,7 +284,8 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
     unassigned voters, funds the best project, and assigns exactly those
     voters to it (fewer if fewer remain). For k = 2 the enumerated optimum
     replaces the greedy; for k = 1, with capacity n, the greedy's pick is the
-    optimum. The trace carries the assignment, read off its entries.
+    optimum. The trace holds the capacity; its entries' voter sets are the
+    assignment.
 
     Under approval scoring the rule works on voter bitmasks alone. For k = 2,
     pairs are ranked by a closed form over the popcounts of their approver
@@ -352,13 +350,8 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
             picks.append((best, total, top))
             unassigned ^= top
 
-    def build() -> dict:
-        entries = _trace_entries(picks)
-        rep = {v: entry.project for entry in entries for v in entry.voters}
-        return {"entries": entries, "assignment": Assignment(rep, cap)}
-
-    chosen = [p for p, _, _ in picks]
-    return make_budget(instance, chosen), RuleTrace._deferred(build, rule="smr")
+    trace = RuleTrace._deferred(lambda: {"entries": _trace_entries(picks)}, rule="smr", capacity=cap)
+    return make_budget(instance, [p for p, _, _ in picks]), trace
 
 
 # --- single transferable vote ---------------------------------------------------
@@ -449,7 +442,7 @@ def stv(
         entries = tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in picks)
         return {"entries": entries}
 
-    trace = RuleTrace._deferred(build, rule="stv", assignment=None)
+    trace = RuleTrace._deferred(build, rule="stv")
     return make_budget(instance, [c for c, _, _, _ in picks]), trace
 
 

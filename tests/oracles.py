@@ -15,6 +15,9 @@ voter each round; sccr and the axiom scan keep each project's approvers as a
 frozenset of voters, and borda sccr re-sums every unsatisfied voter's
 ``m - rank``. Each raises the library's errors with the library's messages,
 so a comparison covers errors too.
+
+``validate_assignment`` checks an smr trace's entries as a Monroe assignment
+with plain set and count loops.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from fractions import Fraction
 
 from pbelect.axioms import AXIOMS, UJR, AxiomReport
 from pbelect.core import (
-    Assignment,
     ConfigurationError,
     ContractError,
     ValidationError,
@@ -102,12 +104,48 @@ def best_budget_of_size(instance, mode, k, capacity):
 
 
 def brute_force_monroe_optimal(instance, k, mode=APPROVAL):
-    """``(budget, assignment, score)`` of the best size-k budget, k <= 2."""
+    """``(budget, rep, capacity, score)`` of the best size-k budget, k <= 2,
+    where ``rep`` maps every voter to its representative project."""
     if k not in (1, 2):
         raise ContractError("optimal assignment search is only available for k <= 2")
     capacity = -(-instance.n // k)
     ids, rep, score = best_budget_of_size(instance, mode, k, capacity)
-    return make_budget(instance, ids), Assignment(rep, capacity), score
+    return make_budget(instance, ids), rep, capacity, score
+
+
+def rep_entries(instance, ids, rep, mode=APPROVAL):
+    """Trace entries of the projects ``ids``, ascending, each holding the voters
+    ``rep`` maps to it and their summed score."""
+    entries = []
+    for p in sorted(ids):
+        voters = [v for v, q in rep.items() if q == p]
+        total = sum(_voter_score(instance, mode, p, v) for v in voters)
+        entries.append(TraceEntry(p, total, frozenset(voters)))
+    return tuple(entries)
+
+
+def validate_assignment(instance, budget, trace):
+    """Raise ContractError unless smr's ``trace`` assigns voters as Monroe does:
+    a positive capacity, each entry's voters known and in no other entry, no
+    entry over the capacity, and the entries' projects the budget's."""
+    if trace.capacity is None or trace.capacity < 1:
+        raise ContractError("assignment capacity must be positive")
+    seen = set()
+    for entry in trace.entries:
+        for v in sorted(entry.voters):
+            if not 0 <= v < instance.n:
+                raise ContractError(f"assignment names unknown voter {v}")
+            if v in seen:
+                raise ContractError(f"voter {v} is assigned twice")
+            seen.add(v)
+        if len(entry.voters) > trace.capacity:
+            raise ContractError(
+                f"project {entry.project} represents {len(entry.voters)} voters, "
+                f"over capacity {trace.capacity}"
+            )
+    projects = sorted(entry.project for entry in trace.entries)
+    if projects != sorted(budget.selected):
+        raise ContractError(f"the entries fund {projects}, not the budget's {sorted(budget.selected)}")
 
 
 def ref_seq_monroe(instance, mode=APPROVAL):
@@ -116,14 +154,9 @@ def ref_seq_monroe(instance, mode=APPROVAL):
     cap = -(-instance.n // k)
     if k <= 2:
         ids, rep, _ = best_budget_of_size(instance, mode, k, cap)
-        entries = []
-        for p in sorted(ids):
-            voters = [v for v, q in rep.items() if q == p]
-            total = sum(_voter_score(instance, mode, p, v) for v in voters)
-            entries.append(TraceEntry(p, total, frozenset(voters)))
-        return make_budget(instance, ids), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
+        return make_budget(instance, ids), RuleTrace("smr", rep_entries(instance, ids, rep, mode), cap)
     unassigned = set(range(instance.n))
-    rep, chosen, entries = {}, set(), []
+    chosen, entries = set(), []
     for _ in range(k):
         best, best_total, best_top = -1, -1, []
         for p in range(instance.m):
@@ -136,10 +169,8 @@ def ref_seq_monroe(instance, mode=APPROVAL):
                 best, best_total, best_top = p, total, top
         entries.append(TraceEntry(best, best_total, frozenset(best_top)))
         chosen.add(best)
-        for v in best_top:
-            rep[v] = best
         unassigned.difference_update(best_top)
-    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), Assignment(rep, cap))
+    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), cap)
 
 
 # --- reference stv --------------------------------------------------------------

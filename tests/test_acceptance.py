@@ -22,7 +22,6 @@ from pbelect.core import (
     is_exhaustive,
     is_feasible,
     make_budget,
-    validate_assignment,
 )
 from pbelect.culture import generate
 from pbelect.harness import (
@@ -42,7 +41,12 @@ from pbelect.rules import (
 )
 
 from conftest import coverage, criterion_4_cases, criterion_5_instances, probability
-from oracles import brute_force_cc_optimal, brute_force_monroe_optimal, naive_axiom_oracle
+from oracles import (
+    brute_force_cc_optimal,
+    brute_force_monroe_optimal,
+    naive_axiom_oracle,
+    validate_assignment,
+)
 
 EQUAL_RULES = ("sccr", "smr", "stv")
 
@@ -160,11 +164,9 @@ def test_criterion_5_greedy_bound_and_small_k_optimality():
         if k <= 2:
             small_k_checked += 1
             budget, trace = seq_monroe(instance)
-            assignment = trace.assignment
-            o_budget, o_assignment, _ = brute_force_monroe_optimal(instance, k)
-            if budget.selected != o_budget.selected or dict(assignment.rep) != dict(
-                o_assignment.rep
-            ):
+            rep = {v: e.project for e in trace.entries for v in e.voters}
+            o_budget, o_rep, _, _ = brute_force_monroe_optimal(instance, k)
+            if budget.selected != o_budget.selected or rep != o_rep:
                 small_k_mismatches += 1
     ok = bound_violations == 0 and small_k_mismatches == 0 and small_k_checked >= 100
     _report(
@@ -208,11 +210,10 @@ def test_criterion_6_feasibility_exhaustiveness_capacity(full_run):
                 non_exhaustive += 1
             if case.name == "equal":
                 m_budget, trace = seq_monroe(instance)
-                assignment = trace.assignment
                 if not is_feasible(instance, m_budget):
                     infeasible += 1
                 try:
-                    validate_assignment(instance, m_budget, assignment)
+                    validate_assignment(instance, m_budget, trace)
                 except Exception:
                     capacity_broken += 1
                 s_budget, _ = stv(instance, committee_size(instance))
@@ -284,10 +285,10 @@ def test_criterion_8_hand_traced_fixtures():
     # I_C: both projects funded, each representing its two approvers.
     i_c = Instance([1, 1], [{0}, {0}, {1}, {1}], 2)
     budget, trace = seq_monroe(i_c)
-    assignment = trace.assignment
-    if sorted(budget.selected) != [0, 1] or dict(assignment.rep) != {0: 0, 1: 0, 2: 1, 3: 1}:
+    rep = {v: e.project for e in trace.entries for v in e.voters}
+    if sorted(budget.selected) != [0, 1] or rep != {0: 0, 1: 0, 2: 1, 3: 1}:
         failures.append("I_C")
-    if brute_force_monroe_optimal(i_c, 2)[2] != 4:
+    if brute_force_monroe_optimal(i_c, 2)[3] != 4:
         failures.append("I_C oracle")
 
     # I_D: p0 elected at quota 2, p2 eliminated on the high-id tie-break.

@@ -233,6 +233,20 @@ def test_gen_refuses_a_culture_whose_ballots_are_almost_never_non_empty(tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json"]
 
 
+@pytest.mark.parametrize("key", ["n_range", "m_range"])
+def test_gen_refuses_a_culture_too_large_to_draw(tmp_path, capsys, key):
+    """m = 10**20 overflowed at ``costs = [1] * m`` in a traceback, and n = 10**20
+    drew voters until the process was killed."""
+    config = write_json(tmp_path / "culture.json", {key: [10**20, 10**20]})
+    code = main(["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-input: n_range and m_range")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json"]
+
+
 # --- run-rule ----------------------------------------------------------------------
 
 def test_run_rule_sccr_stdout(instance_file, capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbelect.core import (
-    Assignment,
     ContractError,
     Instance,
     ValidationError,
@@ -22,7 +21,6 @@ from pbelect.core import (
     is_feasible,
     make_budget,
     masks_from_ballots,
-    validate_assignment,
     voter_ids,
 )
 
@@ -190,39 +188,6 @@ def test_voter_ids_and_ballots_from_masks_read_the_set_bits(masks, extra):
     ballots = ballots_from_masks(masks, n)
     assert ballots == [[p for p, mask in enumerate(masks) if v in _set_bits(mask)] for v in range(n)]
     assert masks_from_ballots(ballots, len(masks)) == tuple(masks)
-
-
-# --- assignment validation ------------------------------------------------------------
-
-def test_validate_assignment_accepts_good(i_c):
-    budget = make_budget(i_c, {0, 1})
-    validate_assignment(i_c, budget, Assignment({0: 0, 1: 0, 2: 1, 3: 1}, 2))
-
-
-def test_validate_assignment_rejects_over_capacity(i_c):
-    budget = make_budget(i_c, {0, 1})
-    with pytest.raises(ContractError):
-        validate_assignment(i_c, budget, Assignment({0: 0, 1: 0, 2: 0}, 2))
-
-
-def test_validate_assignment_rejects_unselected_project(i_c):
-    budget = make_budget(i_c, {0})
-    with pytest.raises(ContractError):
-        validate_assignment(i_c, budget, Assignment({0: 1}, 2))
-
-
-@pytest.mark.parametrize(
-    "assignment, message",
-    [
-        (Assignment({0: 0}, 0), "capacity must be positive"),
-        (Assignment({0: 0, 4: 1}, 2), "unknown voter 4"),
-        (Assignment({-1: 0}, 2), "unknown voter -1"),
-    ],
-    ids=["capacity-0", "voter-n", "voter-negative"],
-)
-def test_validate_assignment_rejects_capacity_and_voters(assignment, message, i_c):
-    with pytest.raises(ContractError, match=message):
-        validate_assignment(i_c, make_budget(i_c, {0, 1}), assignment)
 
 
 # --- JSON round trips -------------------------------------------------------------

@@ -264,6 +264,15 @@ def test_the_approval_prob_bound_sits_at_2_to_the_20_expected_draws():
     CultureConfig(m_range=(3, 3), ballot_model=PREFIX, approval_prob=1e-300)
 
 
+def test_the_instance_size_bound_sits_at_2_to_the_24_pairs():
+    """A config whose largest instance, n_hi * m_hi, is over 2**24 voter-project
+    pairs is refused in one error that names both ranges."""
+    CultureConfig(n_range=(900, 1000), m_range=(35, 40))  # the benchmark's large instances
+    CultureConfig(n_range=(1, 2**22), m_range=(3, 4))
+    with pytest.raises(ValidationError, match="n_range and m_range allow over 2\\*\\*24"):
+        CultureConfig(n_range=(1, 97 * 673), m_range=(3, 257))  # 2**24 + 1
+
+
 def test_rejects_bad_cost_bounds():
     with pytest.raises(ValidationError):
         CultureConfig(cost_model=UNIFORM, limit_model=BUDGET, cost_min=0)

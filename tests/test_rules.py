@@ -22,7 +22,6 @@ from pbelect.core import (
     ValidationError,
     is_exhaustive,
     is_feasible,
-    validate_assignment,
     voter_ids,
 )
 from pbelect.culture import CultureConfig, equal_valued_culture, generate
@@ -34,6 +33,7 @@ from pbelect.rules import (
     HARE,
     RULES,
     RuleTrace,
+    TraceEntry,
     _lowest_bits,
     committee_size,
     seq_chamberlin_courant,
@@ -42,7 +42,7 @@ from pbelect.rules import (
 )
 
 from conftest import coverage, random_unit_instance
-from oracles import brute_force_cc_optimal, brute_force_monroe_optimal
+from oracles import brute_force_cc_optimal, brute_force_monroe_optimal, rep_entries, validate_assignment
 
 
 # --- coverage greedy ------------------------------------------------------------
@@ -98,28 +98,30 @@ def test_sccr_borda_requires_rankings(i_a):
 
 # --- assignment greedy -----------------------------------------------------------
 
+def _rep(trace: RuleTrace) -> dict[int, int]:
+    """smr's assignment: each voter of an entry to the entry's project."""
+    return {v: e.project for e in trace.entries for v in e.voters}
+
+
 def test_smr_i_c_exact_pair(i_c):
     budget, trace = seq_monroe(i_c)
-    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
-    assert assignment.capacity == 2
-    assert dict(assignment.rep) == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert trace.capacity == 2
+    assert _rep(trace) == {0: 0, 1: 0, 2: 1, 3: 1}
 
 
 def test_smr_single_consensus_project():
     inst = Instance([1, 1, 1], [{0}] * 5, 1)
     budget, trace = seq_monroe(inst)
-    assignment = trace.assignment
     assert budget.selected == frozenset({0})
-    assert dict(assignment.rep) == {v: 0 for v in range(5)}
+    assert _rep(trace) == {v: 0 for v in range(5)}
 
 
 def test_smr_k2_enumeration_example():
     inst = Instance([1, 1, 1], [{0, 1}, {0}, {1}, {2}], 2)
     budget, trace = seq_monroe(inst)
-    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
-    oracle_budget, _, score = brute_force_monroe_optimal(inst, 2)
+    oracle_budget, _, _, score = brute_force_monroe_optimal(inst, 2)
     assert score == 3
     assert oracle_budget.selected == budget.selected
 
@@ -129,11 +131,47 @@ def test_smr_greedy_path_hand_trace():
         [1, 1, 1, 1], [{0}, {0}, {0}, {1}, {1}, {2}], 3
     )
     budget, trace = seq_monroe(inst)
-    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1, 2]
-    assert assignment.capacity == 2
+    assert trace.capacity == 2
     assert [(e.project, e.score) for e in trace.entries] == [(0, 2), (1, 2), (2, 1)]
-    assert dict(assignment.rep) == {0: 0, 1: 0, 3: 1, 4: 1, 2: 2, 5: 2}
+    assert _rep(trace) == {0: 0, 1: 0, 3: 1, 4: 1, 2: 2, 5: 2}
+
+
+SMR_PINNED = {
+    # i_c: k = 2, the enumerated pair
+    "k2": (
+        lambda: Instance([1, 1], [{0}, {0}, {1}, {1}], 2),
+        (TraceEntry(0, 2, frozenset({0, 1})), TraceEntry(1, 2, frozenset({2, 3}))),
+        {"0": 0, "1": 0, "2": 1, "3": 1},
+    ),
+    # the greedy hand trace: k = 3, voter 2 topped up to project 2
+    "k3": (
+        lambda: Instance([1, 1, 1, 1], [{0}, {0}, {0}, {1}, {1}, {2}], 3),
+        (
+            TraceEntry(0, 2, frozenset({0, 1})),
+            TraceEntry(1, 2, frozenset({3, 4})),
+            TraceEntry(2, 1, frozenset({2, 5})),
+        ),
+        {"0": 0, "1": 0, "2": 2, "3": 1, "4": 1, "5": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SMR_PINNED))
+def test_smr_trace_json_writes_the_assignment_by_voter(case):
+    """smr's trace JSON writes its entries' voter sets as one map keyed in
+    ascending voter order; an eager trace of the same entries and capacity
+    equals the rule's and pickles and deep-copies equal."""
+    instance, entries, rep = SMR_PINNED[case]
+    eager = RuleTrace("smr", entries, 2)
+    assignment = seq_monroe(instance())[1].to_dict()["assignment"]
+    assert assignment == {"capacity": 2, "rep": rep}
+    assert list(assignment["rep"]) == sorted(rep, key=int)
+    assert seq_monroe(instance())[1] == eager
+    assert eager.to_dict() == seq_monroe(instance())[1].to_dict()
+    for trace in (eager, seq_monroe(instance())[1]):
+        assert pickle.loads(pickle.dumps(trace)) == eager
+        assert copy.deepcopy(trace) == eager
 
 
 def test_smr_rejects_unequal_costs(i_b):
@@ -146,9 +184,8 @@ def test_smr_borda_exact_pair():
         [1, 1, 1], [{0}, {1}], 2, rankings=[(0, 1, 2), (1, 2, 0)]
     )
     budget, trace = seq_monroe(inst, BORDA)
-    assignment = trace.assignment
     assert sorted(budget.selected) == [0, 1]
-    assert dict(assignment.rep) == {0: 0, 1: 1}
+    assert _rep(trace) == {0: 0, 1: 1}
 
 
 def test_smr_approval_path_builds_no_score_vector(monkeypatch):
@@ -315,14 +352,14 @@ def test_cc_oracle_refuses_large_instances():
 
 def test_monroe_oracle_k1_is_plurality():
     inst = Instance([1, 1, 1], [{1}, {1}, {0}], 1)
-    budget, assignment, score = brute_force_monroe_optimal(inst, 1)
+    budget, rep, capacity, score = brute_force_monroe_optimal(inst, 1)
     assert budget.selected == frozenset({1})
     assert score == 2
-    assert set(assignment.rep) == {0, 1, 2}
+    assert (rep, capacity) == ({0: 1, 1: 1, 2: 1}, 3)
 
 
 def test_monroe_oracle_i_c(i_c):
-    budget, _, score = brute_force_monroe_optimal(i_c, 2)
+    budget, _, _, score = brute_force_monroe_optimal(i_c, 2)
     assert (sorted(budget.selected), score) == ([0, 1], 4)
 
 
@@ -341,9 +378,9 @@ def test_monroe_oracle_beats_single_order_greedy():
     # Mixed overlap where filling either project with its own top approvers
     # first strands value; the optimal split still reaches 4.
     inst = Instance([1, 1], [{0, 1}, {0, 1}, {0}, {1}], 2)
-    budget, assignment, score = brute_force_monroe_optimal(inst, 2)
+    budget, rep, capacity, score = brute_force_monroe_optimal(inst, 2)
     assert score == 4
-    validate_assignment(inst, budget, assignment)
+    validate_assignment(inst, budget, RuleTrace("smr", rep_entries(inst, budget.selected, rep), capacity))
 
 
 def test_monroe_oracle_assignment_matches_full_enumeration():
@@ -356,8 +393,8 @@ def test_monroe_oracle_assignment_matches_full_enumeration():
             frozenset(rng.sample(range(2), rng.randint(1, 2))) for _ in range(n)
         ]
         inst = Instance([1, 1], ballots, 2)
-        _, assignment, score = brute_force_monroe_optimal(inst, 2)
-        cap = -(-n // 2)
+        budget, rep, cap, score = brute_force_monroe_optimal(inst, 2)
+        assert cap == -(-n // 2)
         s0 = [1 if 0 in b else 0 for b in ballots]
         s1 = [1 if 1 in b else 0 for b in ballots]
         best = -1
@@ -369,7 +406,7 @@ def test_monroe_oracle_assignment_matches_full_enumeration():
                 )
                 best = max(best, total)
         assert score == best
-        validate_assignment(inst, brute_force_monroe_optimal(inst, 2)[0], assignment)
+        validate_assignment(inst, budget, RuleTrace("smr", rep_entries(inst, budget.selected, rep), cap))
 
 
 # --- deferred traces -------------------------------------------------------------------
@@ -406,7 +443,7 @@ def test_a_deferred_trace_behaves_like_an_eager_one(case):
     read, whichever operation reads them, and keeps what it built."""
     run = DEFERRED_CASES[case]
     source = run()[1]
-    eager = RuleTrace(source.rule, source.entries, source.assignment)
+    eager = RuleTrace(source.rule, source.entries, source.capacity)
     assert source.entries  # every case funds a project
     assert type(run()[1]) is RuleTrace
     assert run()[1] == eager
@@ -416,16 +453,15 @@ def test_a_deferred_trace_behaves_like_an_eager_one(case):
     assert pickle.loads(pickle.dumps(run()[1])) == eager
     assert copy.deepcopy(run()[1]) == eager
     trace = run()[1]
-    assert (trace.assignment is None) == (trace.rule != "smr")
+    assert (trace.capacity is None) == (trace.rule != "smr")
     assert trace.entries is trace.entries
-    assert trace.assignment is trace.assignment
     assert not hasattr(trace, "voters")
     assert "to_dict" in RuleTrace.__dict__
 
 
 def test_an_eager_trace_keeps_its_defaults_and_pickles():
     trace = RuleTrace("stv", ())
-    assert trace.assignment is None
+    assert trace.capacity is None
     assert pickle.loads(pickle.dumps(trace)) == trace == copy.deepcopy(trace)
 
 
@@ -443,15 +479,15 @@ def test_rules_are_deterministic():
 
 
 def test_direct_calls_return_what_the_registry_returns():
-    """smr's trace carries its assignment, stv's k defaults to the committee
+    """smr's trace carries its capacity, stv's k defaults to the committee
     size, and trace JSON numbers the entries from 1."""
     rng = random.Random(11)
     for _ in range(40):
         inst = random_unit_instance(rng, with_rankings=True)
         budget, trace = seq_monroe(inst)
-        assert trace.assignment is not None
+        assert trace.capacity == -(-inst.n // committee_size(inst))
         assert trace.to_dict() == RULES["smr"].run(inst)[1].to_dict()
-        assert trace.to_dict()["assignment"]["capacity"] == trace.assignment.capacity
+        assert trace.to_dict()["assignment"]["capacity"] == trace.capacity
         assert stv(inst) == stv(inst, committee_size(inst)) == RULES["stv"].run(inst)
         for rule_trace in (trace, stv(inst)[1], seq_chamberlin_courant(inst)[1]):
             numbers = [entry["iteration"] for entry in rule_trace.to_dict()["entries"]]
@@ -487,9 +523,8 @@ def test_outputs_feasible_and_sccr_exhaustive():
         assert is_feasible(inst, cc_budget)
         assert is_exhaustive(inst, cc_budget)
         m_budget, trace = seq_monroe(inst)
-        assignment = trace.assignment
         assert is_feasible(inst, m_budget)
-        validate_assignment(inst, m_budget, assignment)
+        validate_assignment(inst, m_budget, trace)
         s_budget, _ = stv(inst, committee_size(inst))
         assert is_feasible(inst, s_budget)
 
@@ -513,10 +548,9 @@ def test_smr_small_k_equals_oracle():
         if k > 2:
             continue
         budget, trace = seq_monroe(inst)
-        assignment = trace.assignment
-        o_budget, o_assignment, o_score = brute_force_monroe_optimal(inst, k)
+        o_budget, o_rep, _, _ = brute_force_monroe_optimal(inst, k)
         assert budget.selected == o_budget.selected
-        assert dict(assignment.rep) == dict(o_assignment.rep)
+        assert _rep(trace) == o_rep
         checked += 1
     assert checked > 50
 

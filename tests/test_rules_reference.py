@@ -1,9 +1,9 @@
 """The fast rules and axiom scan against the short reference version of each
 in ``oracles``.
 
-Each must return the same budget, trace (exact scores included), assignment,
-report and error as its reference on every instance, including instances with
-more voters than one machine word holds.
+Each must return the same budget, trace (exact scores included, and smr's
+assignment with them), report and error as its reference on every instance,
+including instances with more voters than one machine word holds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbelect.axioms import AXIOMS, AxiomReport, check_axiom
-from pbelect.core import Assignment, Instance, ValidationError, make_budget
+from pbelect.core import Instance, ValidationError, make_budget
 from pbelect.rules import (
     APPROVAL,
     BORDA,
@@ -42,8 +42,6 @@ def _outcome(call):
         if isinstance(part, RuleTrace):
             scores = [(type(e.score), e.score) for e in part.entries]
             out.append(("trace", part.to_dict(), scores))
-        elif isinstance(part, Assignment):
-            out.append(("assignment", dict(part.rep), part.capacity))
         elif isinstance(part, AxiomReport):
             out.append(("report", part.to_dict()))
         else:
