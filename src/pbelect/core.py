@@ -3,17 +3,17 @@
 Money is integral throughout, so feasibility and exhaustiveness are exact
 integer comparisons with no tolerance questions. Instances validate on
 construction and are immutable afterwards; every operation below is a pure
-function and safe to call concurrently. The one instance built without the
-checks is ``culture.generate``'s, valid by construction, which builds its
-ballots from its approver masks on first read; the test suite checks it.
+function and safe to call concurrently. An instance stores its approvals as
+one voter bitmask per project and builds its per-voter ballot sets from them
+only if read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from decimal import Decimal
 from itertools import chain, compress, count
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -57,17 +57,25 @@ def _ids_error(voter: int | None, problem: str) -> ValidationError:
     return ValidationError(f"{owner} {problem}")
 
 
-def _ballots(ballots: tuple, m: int) -> tuple[frozenset[int], ...]:
-    """Every ballot as a non-empty set of distinct ids in 0..m-1; ValidationError
-    naming the first bad voter otherwise. Every entry is checked, so a ballot
-    such as [1, true], which a set reads as {1}, fails."""
-    sets = []
+def _approver_masks(ballots: tuple, m: int) -> tuple[int, ...]:
+    """For each project, the bitmask of the voters approving it: bit v is voter
+    v. Every ballot must be a non-empty set of distinct ids in 0..m-1; the first
+    that is not raises ``_project_ids``'s ValidationError or the empty one.
+    Every entry is checked, so a ballot such as [1, true] fails."""
+    masks = [0] * m
     for v, ballot in enumerate(ballots):
-        ballot = _project_ids(ballot, m, v)
+        bit = 1 << v
+        valid = isinstance(ballot, (list, tuple, set, frozenset))
+        for p in ballot if valid else ():
+            if type(p) is not int or not 0 <= p < m:
+                valid = False
+                break
+            masks[p] |= bit
+        if not valid or len(set(ballot)) != len(ballot):  # a bad entry, or a repeat
+            _project_ids(ballot, m, v)  # raises the message of the ballot's first fault
         if not ballot:
             raise ValidationError(f"voter {v} has an empty approval ballot")
-        sets.append(ballot)
-    return tuple(sets)
+    return tuple(masks)
 
 
 def _rankings(rankings: tuple, m: int) -> tuple[tuple[int, ...], ...]:
@@ -93,11 +101,11 @@ def _rankings(rankings: tuple, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _Deferrable:
-    """A frozen dataclass whose deferred objects skip ``__post_init__``, hold the
-    fields and cached values given, and take the rest from the pure ``build()``
-    at the first read of any (two racing threads at worst build twice). A field
-    with a class default reads as that default unless given: its read never
-    reaches ``__getattr__``.
+    """A frozen dataclass whose deferred objects, made without its ``__init__``,
+    hold the fields and cached values given, and take the rest from the pure
+    ``build()`` at the first read of any (two racing threads at worst build
+    twice). A field with a class default reads as that default unless given:
+    its read never reaches ``__getattr__``.
     """
 
     @classmethod
@@ -123,7 +131,7 @@ class _Deferrable:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance(_Deferrable):
     """One participatory-budgeting election.
 
@@ -132,9 +140,12 @@ class Instance(_Deferrable):
     preference order per voter, most preferred first. Zero-cost projects are
     rejected unless ``allow_zero_cost`` is set; empty approval ballots are
     always rejected. Every field is checked here; lists are accepted and
-    stored as tuples and frozensets, and anything malformed raises
-    ValidationError. The one exception is ``culture.generate``, whose
-    instances skip the checks and build ``ballots`` from ``approver_masks``.
+    stored as tuples, and anything malformed raises ValidationError.
+
+    Every instance holds ``n`` and ``approver_masks``, for each project the
+    voters approving it as a bitmask (bit v is voter v), in place of its
+    ballots: ``ballots``, one frozenset per voter, is built from the masks
+    on its first read.
     """
 
     costs: tuple[int, ...]
@@ -143,10 +154,11 @@ class Instance(_Deferrable):
     rankings: tuple[tuple[int, ...], ...] | None = None
     allow_zero_cost: bool = False
 
-    def __post_init__(self) -> None:
-        if type(self.allow_zero_cost) is not bool:
+    # __new__ and no __init__: what the checks return is the deferred object _from_masks makes
+    def __new__(cls, costs, ballots, limit, rankings=None, allow_zero_cost=False) -> Instance:
+        if type(allow_zero_cost) is not bool:
             raise ValidationError("allow_zero_cost must be a boolean")
-        costs = as_tuple(self.costs, "costs")
+        costs = as_tuple(costs, "costs")
         if not costs:
             raise ValidationError("an instance needs at least one project")
         for p, cost in enumerate(costs):
@@ -154,52 +166,38 @@ class Instance(_Deferrable):
                 raise ValidationError(f"project {p} has non-integer cost {cost!r}")
             if cost < 0:
                 raise ValidationError(f"project {p} has negative cost {cost}")
-            if cost == 0 and not self.allow_zero_cost:
+            if cost == 0 and not allow_zero_cost:
                 raise ValidationError(
                     f"project {p} has zero cost; set allow_zero_cost to permit this"
                 )
-        object.__setattr__(self, "costs", costs)
-        m = len(costs)
-        if type(self.limit) is not int or self.limit <= 0:
+        if type(limit) is not int or limit <= 0:
             raise ValidationError("limit must be a positive integer")
         max_cost = max(costs)
-        if self.limit < max_cost:
-            raise ValidationError(
-                f"limit {self.limit} is below the most expensive project ({max_cost})"
-            )
-        ballots = as_tuple(self.ballots, "ballots")
+        if limit < max_cost:
+            raise ValidationError(f"limit {limit} is below the most expensive project ({max_cost})")
+        ballots = as_tuple(ballots, "ballots")
         if not ballots:
             raise ValidationError("an instance needs at least one voter")
-        object.__setattr__(self, "ballots", _ballots(ballots, m))
-        if self.rankings is None:
-            return
-        rankings = as_tuple(self.rankings, "rankings")
-        if len(rankings) != len(ballots):
-            raise ValidationError("rankings, when given, must cover every voter")
-        object.__setattr__(self, "rankings", _rankings(rankings, m))
+        masks = _approver_masks(ballots, len(costs))
+        if rankings is not None:
+            rankings = as_tuple(rankings, "rankings")
+            if len(rankings) != len(ballots):
+                raise ValidationError("rankings, when given, must cover every voter")
+            rankings = _rankings(rankings, len(costs))
+        return cls._from_masks(costs, limit, rankings, allow_zero_cost, masks, len(ballots))
 
-    @cached_property
-    def n(self) -> int:
-        return len(self.ballots)
+    @classmethod
+    def _from_masks(cls, costs, limit, rankings, allow_zero_cost, masks, n) -> Instance:
+        """The instance of these valid parts, unchecked: ``ballots`` builds from the masks."""
+        return cls._deferred(
+            lambda: {"ballots": tuple(map(frozenset, ballots_from_masks(masks, n)))},
+            costs=costs, limit=limit, rankings=rankings, allow_zero_cost=allow_zero_cost,
+            n=n, approver_masks=masks,
+        )
 
     @property
     def m(self) -> int:
         return len(self.costs)
-
-    @cached_property
-    def approver_masks(self) -> tuple[int, ...]:
-        """For each project, the voters approving it as a bitmask: bit v is voter v."""
-        return masks_from_ballots(self.ballots, self.m)
-
-
-def masks_from_ballots(ballots: Iterable[Iterable[int]], m: int) -> tuple[int, ...]:
-    """For each of the m projects, the bitmask of the ballots' voters approving it."""
-    masks = [0] * m
-    for v, ballot in enumerate(ballots):
-        bit = 1 << v
-        for p in ballot:
-            masks[p] |= bit
-    return tuple(masks)
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a reversed bin() as bytes 0 and 1: byte v is bit v
@@ -316,7 +314,8 @@ def budget_from_dict(instance: Instance, data: object) -> Budget:
     budget = make_budget(instance, data["selected"])
     stated = data.get("total_cost", budget.total_cost)
     if type(stated) is not int or stated != budget.total_cost:
+        # the sum may pass the int-to-str digit limit, which Decimal(int) does not keep
         raise ValidationError(
-            f"stated total_cost {stated!r} does not match recomputed {budget.total_cost}"
+            f"stated total_cost {stated!r} does not match recomputed {Decimal(budget.total_cost)}"
         )
     return budget

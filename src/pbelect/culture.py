@@ -11,9 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, fields
 
-from .core import (
-    Instance, ValidationError, as_tuple, ballots_from_masks, json_object, masks_from_ballots
-)
+from .core import Instance, ValidationError, as_tuple, json_object
 
 UNIT = "unit"
 UNIFORM = "uniform"
@@ -123,8 +121,9 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 
 def _prefix_ballots(
     rng: random.Random, n: int, m: int
-) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
-    """n full rankings of the m projects, each with its top t entries approved.
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """n full rankings of the m projects, each with its top t entries approved,
+    and the approver masks of those approvals (bit v is voter v).
 
     Each voter's draws are those of ``rng.sample(range(m), m)`` followed by
     ``rng.randint(1, m - 1)``, inlined: CPython's pool swap, where the i-th
@@ -137,8 +136,8 @@ def _prefix_ballots(
     cut_width = m - 1
     cut_bits = cut_width.bit_length()
     rankings: list[tuple[int, ...]] = []
-    ballots: list[list[int]] = []
-    for _ in range(n):
+    masks = [0] * m
+    for v in range(n):
         pool = ids.copy()
         picks: list[int] = []
         pick = picks.append
@@ -152,8 +151,10 @@ def _prefix_ballots(
         while cutoff >= cut_width:
             cutoff = getrandbits(cut_bits)
         rankings.append(tuple(picks))
-        ballots.append(picks[: cutoff + 1])
-    return tuple(rankings), ballots
+        bit = 1 << v
+        for p in picks[: cutoff + 1]:
+            masks[p] |= bit
+    return tuple(rankings), masks
 
 
 def generate(config: CultureConfig, trial_index: int) -> Instance:
@@ -161,11 +162,11 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
 
     Integers are drawn from ``getrandbits`` as ``randint`` and ``sample``
     draw them, so an instance depends on the trial seed and MT19937 alone.
-    The instance is valid by construction, so it skips ``Instance``'s checks
-    and holds approver masks, from which its ballots are built only if read;
-    tests/test_culture.py (a property test over valid configs) and criterion 6
-    of tests/test_acceptance.py (the study's seed-0 stream) check that
-    ``Instance(...)`` rebuilds it equal.
+    Each voter's approvals are ORed into the approver masks as they are
+    drawn. The instance is valid by construction, so it skips ``Instance``'s
+    checks; tests/test_culture.py (a property test over valid configs) and
+    criterion 6 of tests/test_acceptance.py (the study's seed-0 stream) check
+    that ``Instance(...)`` rebuilds it equal.
     """
     if type(trial_index) is not int or trial_index < 0:
         raise ValidationError("trial index must be a non-negative integer")
@@ -184,19 +185,16 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
         limit = max_cost if half_total < max_cost else _randint(rng, max_cost, half_total)
     rankings: tuple[tuple[int, ...], ...] | None = None
     if config.ballot_model == PREFIX:
-        rankings, ballots = _prefix_ballots(rng, n, m)
+        rankings, masks = _prefix_ballots(rng, n, m)
     else:
-        ballots = []
-        while len(ballots) < n:  # an empty ballot is drawn again
-            approved = [p for p in range(m) if rng.random() < config.approval_prob]
-            if approved:
-                ballots.append(approved)
-    masks = masks_from_ballots(ballots, m)
-    return Instance._deferred(
-        lambda: {"ballots": tuple(map(frozenset, ballots_from_masks(masks, n)))},
-        costs=tuple(costs), limit=limit, rankings=rankings, allow_zero_cost=False,
-        n=n, approver_masks=masks,
-    )
+        masks = [0] * m
+        for v in range(n):
+            approved: list[int] = []
+            while not approved:  # an empty ballot is drawn again
+                approved = [p for p in range(m) if rng.random() < config.approval_prob]
+            for p in approved:
+                masks[p] |= 1 << v
+    return Instance._from_masks(tuple(costs), limit, rankings, False, tuple(masks), n)
 
 
 def equal_valued_culture(master_seed: int = 0) -> CultureConfig:

@@ -5,7 +5,9 @@ Everything here reads ``Instance.ballots`` frozensets (and rankings) with
 plain loops. None of it uses the library's int bitmasks
 (``Instance.approver_masks``) or its helpers for represented voters
 (``axioms._represented``), so a bug in either shows up as a disagreement
-instead of passing through both sides of a comparison.
+instead of passing through both sides of a comparison. An instance builds
+its ballots from its masks, so ``naive_approver_masks`` checks the masks
+that ``Instance(...)`` stores against the ballots it was given.
 
 The references keep the straightforward loops: smr re-sorts every unassigned
 voter per project per round and, for k <= 2, enumerates every size-k budget
@@ -42,6 +44,16 @@ from pbelect.rules import (
     _quota_value,
     committee_size,
 )
+
+
+def naive_approver_masks(ballots, m):
+    """Each of the m projects' approver bitmask, ORed in voter by voter."""
+    masks = [0] * m
+    for v, ballot in enumerate(ballots):
+        for p in ballot:
+            masks[p] |= 1 << v
+    return tuple(masks)
+
 
 MAX_PROJECTS = 16  # brute_force_cc_optimal enumerates all 2**m subsets
 MAX_VOTERS = 16  # naive_axiom_oracle enumerates voter groups

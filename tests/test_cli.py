@@ -600,6 +600,27 @@ def test_rule_and_axiom_outputs_are_indent2_json(fixture, request, tmp_path):
             assert report_path.read_bytes() == indent2(report.to_dict())
 
 
+def test_check_axiom_names_a_recomputed_total_cost_over_the_digit_limit(tmp_path, capsys):
+    """20 costs of 10**4299 - 1 sum to 4,301 digits, past int-to-str's limit;
+    a stated total_cost that disagrees is one error line, not a traceback."""
+    cost = 10**4299 - 1
+    projects = [{"id": p, "cost": cost} for p in range(20)]
+    instance = {"limit": 10**4299, "projects": projects, "ballots": [[0]]}
+    inst = write_json(tmp_path / "inst.json", instance)
+    budget = write_json(tmp_path / "budget.json", {"selected": list(range(20)), "total_cost": 1})
+    out = tmp_path / "report.json"
+    code = main([
+        "check-axiom", "--axiom", "ujr", "--instance", str(inst),
+        "--budget", str(budget), "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    recomputed = Decimal(20 * cost)
+    expected = f"error: invalid-input: stated total_cost 1 does not match recomputed {recomputed}"
+    assert captured.err.splitlines() == [expected]
+
+
 def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
     infeasible = Instance([2, 2], [{0}, {1}], 2)
     inst = write_json(tmp_path / "inst.json", instance_to_dict(infeasible))

@@ -20,11 +20,11 @@ from pbelect.core import (
     is_exhaustive,
     is_feasible,
     make_budget,
-    masks_from_ballots,
     voter_ids,
 )
 
 from conftest import coverage, prefix_coherent, random_costed_instance
+from oracles import naive_approver_masks
 
 
 # --- total_cost ---------------------------------------------------------------
@@ -180,14 +180,35 @@ def _set_bits(mask: int) -> list[int]:
 @given(st.lists(st.integers(0, 2**130 - 1), min_size=1, max_size=8), st.integers(0, 10))
 def test_voter_ids_and_ballots_from_masks_read_the_set_bits(masks, extra):
     """voter_ids lists a mask's set bits; ballots_from_masks lists, for each of
-    n voters, the projects whose masks hold its bit, and masks_from_ballots
-    inverts it."""
+    n voters, the projects whose masks hold its bit, and a naive OR of those
+    ballots gives the masks back."""
     for mask in masks:
         assert list(voter_ids(mask)) == _set_bits(mask)
     n = max(1, *(mask.bit_length() for mask in masks)) + extra  # an instance has a voter
     ballots = ballots_from_masks(masks, n)
     assert ballots == [[p for p, mask in enumerate(masks) if v in _set_bits(mask)] for v in range(n)]
-    assert masks_from_ballots(ballots, len(masks)) == tuple(masks)
+    assert naive_approver_masks(ballots, len(masks)) == tuple(masks)
+
+
+@st.composite
+def valid_ballots(draw) -> tuple[int, list]:
+    """m and 1..70 valid ballots over it, each a list, tuple, set or frozenset."""
+    m = draw(st.integers(1, 12))
+    ballot = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    kind = draw(st.sampled_from([list, tuple, set, frozenset]))
+    return m, [kind(b) for b in draw(st.lists(ballot, min_size=1, max_size=70))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_ballots())
+def test_ballots_round_trip_through_the_approver_masks(case):
+    """Instance(...) stores its ballots as the masks a naive per-voter OR
+    builds, and the ballots it builds from them are the ones it was given."""
+    m, ballots = case
+    inst = Instance([1] * m, ballots, m)
+    assert inst.n == len(ballots) and "ballots" not in vars(inst)
+    assert inst.approver_masks == naive_approver_masks(ballots, m)
+    assert inst.ballots == tuple(map(frozenset, ballots))
 
 
 # --- JSON round trips -------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbelect.core import Instance, ValidationError, masks_from_ballots
+from pbelect.core import Instance, ValidationError
 from pbelect.culture import (
     BERNOULLI,
     BUDGET,
@@ -30,6 +30,7 @@ from pbelect.culture import (
 )
 
 from conftest import prefix_coherent
+from oracles import naive_approver_masks
 
 
 # --- seed derivation --------------------------------------------------------------
@@ -72,19 +73,16 @@ def test_generate_rejects_a_trial_index_no_study_has(trial):
 def test_inlined_draws_match_sample_and_randint(m):
     """Each voter's ranking and cutoff are what rng.sample(range(m), m) and then
     rng.randint(1, m - 1) draw, and the stream ends where those calls leave it.
-    The approver masks built from the ballots are those of the sampled prefixes."""
+    The approver masks are those of the sampled prefixes."""
     for seed in range(2000):
         ours, theirs = random.Random(seed), random.Random(seed)
-        rankings, ballots = _prefix_ballots(ours, 2, m)
+        rankings, masks = _prefix_ballots(ours, 2, m)
         prefixes = []
         for ranking in rankings:
             expected = tuple(theirs.sample(range(m), m))
             assert ranking == expected
             prefixes.append(expected[: theirs.randint(1, m - 1)])
-        assert ballots == [list(prefix) for prefix in prefixes]
-        assert masks_from_ballots(ballots, m) == tuple(
-            sum(1 << v for v, prefix in enumerate(prefixes) if p in prefix) for p in range(m)
-        )
+        assert tuple(masks) == naive_approver_masks(prefixes, m)
         for lo, hi in ((1, m), (m, m), (2, m - 1), (m, 10 * m)):
             assert _randint(ours, lo, hi) == theirs.randint(lo, hi)
         assert ours.random() == theirs.random()

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from pbelect import harness
+from pbelect.axioms import AXIOMS
 from pbelect.core import ContractError, Instance, ValidationError, instance_to_dict
 from pbelect.culture import BERNOULLI, CultureConfig, UNIFORM, equal_valued_culture, generate
 from pbelect.harness import (
@@ -365,28 +366,44 @@ def test_the_study_and_replay_build_no_trace(monkeypatch):
 
 
 def test_the_study_replay_and_gen_build_no_ballots(monkeypatch, tmp_path):
-    """The rules and the axiom check read a generated instance's approver
-    masks and ``instance_to_dict`` writes its ballots from them, so no
-    ballot set is ever built: with every generated instance's build made to
-    fail, the study, --replay and gen return and write what they did before."""
+    """The rules and the axiom check read an instance's approver masks and
+    ``instance_to_dict`` writes its ballots from them, so no ballot set is
+    ever built: with the build of every instance, generated or read from JSON,
+    made to fail, the study, --replay, gen, run-rule under both scorings and
+    both check-axioms return and write what they did before."""
     from pbelect.cli import main
     from pbelect.culture import culture_config_to_dict
 
     config = default_experiment_config(trial_counts=(50,))
     culture = tmp_path / "culture.json"
     culture.write_text(json.dumps(culture_config_to_dict(config.cases[1].culture)))
-    gen = ["gen", "--config", str(culture), "--trial", "7", "--out"]
 
     def outputs(name: str) -> tuple:
-        assert main([*gen, str(tmp_path / name)]) == 0
+        instance, budget, out = (tmp_path / f"{name}.{kind}.json" for kind in ("i", "b", "o"))
+        assert main(["gen", "--config", str(culture), "--trial", "7", "--out", str(instance)]) == 0
+        written = [instance.read_bytes()]
+        for scoring in ("approval", "borda"):
+            assert main([
+                "run-rule", "--rule", "sccr", "--scoring", scoring, "--instance", str(instance),
+                "--out", str(budget), "--trace", str(out),
+            ]) == 0
+            written += [budget.read_bytes(), out.read_bytes()]
+            for axiom in AXIOMS:
+                code = main([
+                    "check-axiom", "--axiom", axiom, "--instance", str(instance),
+                    "--budget", str(budget), "--out", str(out),
+                ])
+                written += [code, out.read_bytes()]
         replays = [replay_trial(config, case.name, 7) for case in config.cases]
-        return run_experiment(config), replays, (tmp_path / name).read_bytes()
+        return run_experiment(config), replays, written
 
-    before = outputs("before.json")
+    before = outputs("before")
     _fail_deferred_builds(monkeypatch, Instance)
-    assert outputs("after.json") == before
+    assert outputs("after") == before
     with pytest.raises(AssertionError, match="deferred Instance was built"):
         generate(config.cases[0].culture, 7).ballots
+    with pytest.raises(AssertionError, match="deferred Instance was built"):
+        Instance([1, 1], [[0], [1]], 1).ballots
 
 
 def test_trial_failure_reports_replay_coordinates(monkeypatch):
