@@ -60,19 +60,12 @@ def _ids_error(voter: int | None, problem: str) -> ValidationError:
 def _approver_masks(ballots: tuple, m: int) -> tuple[int, ...]:
     """For each project, the bitmask of the voters approving it: bit v is voter
     v. Every ballot must be a non-empty set of distinct ids in 0..m-1; the first
-    that is not raises ``_project_ids``'s ValidationError or the empty one.
-    Every entry is checked, so a ballot such as [1, true] fails."""
+    that is not raises ``_project_ids``'s ValidationError or the empty one."""
     masks = [0] * m
     for v, ballot in enumerate(ballots):
         bit = 1 << v
-        valid = isinstance(ballot, (list, tuple, set, frozenset))
-        for p in ballot if valid else ():
-            if type(p) is not int or not 0 <= p < m:
-                valid = False
-                break
+        for p in _project_ids(ballot, m, v):
             masks[p] |= bit
-        if not valid or len(set(ballot)) != len(ballot):  # a bad entry, or a repeat
-            _project_ids(ballot, m, v)  # raises the message of the ballot's first fault
         if not ballot:
             raise ValidationError(f"voter {v} has an empty approval ballot")
     return tuple(masks)
@@ -154,7 +147,7 @@ class Instance(_Deferrable):
     rankings: tuple[tuple[int, ...], ...] | None = None
     allow_zero_cost: bool = False
 
-    # __new__ and no __init__: what the checks return is the deferred object _from_masks makes
+    # __new__ and no __init__: the checks return a deferred object that builds its ballots on first read
     def __new__(cls, costs, ballots, limit, rankings=None, allow_zero_cost=False) -> Instance:
         if type(allow_zero_cost) is not bool:
             raise ValidationError("allow_zero_cost must be a boolean")

@@ -192,8 +192,9 @@ def generate(config: CultureConfig, trial_index: int) -> Instance:
             approved: list[int] = []
             while not approved:  # an empty ballot is drawn again
                 approved = [p for p in range(m) if rng.random() < config.approval_prob]
+            bit = 1 << v
             for p in approved:
-                masks[p] |= 1 << v
+                masks[p] |= bit
     return Instance._from_masks(tuple(costs), limit, rankings, False, tuple(masks), n)
 
 
