@@ -210,12 +210,12 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
     max_trials = max(config.trial_counts)
     jobs = ((case, trial) for case in config.cases for trial in range(max_trials))
     job = partial(_evaluate_trial, config.axiom, config.record_timing)
-    if workers is not None and workers > 1:
+    # a pool starts all its processes at the first submit: no more than CPUs, and none for one
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its processes at the first submit: no more than CPUs
-        workers = min(workers, os.cpu_count() or 1)
         # one pool for every case; map returns results in job order
         chunk = max(1, len(config.cases) * max_trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

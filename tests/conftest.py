@@ -1,13 +1,19 @@
 """Shared fixtures: the five hand-traced elections, random-instance helpers,
-and the coverage, prefix and probability helpers the tests check results with."""
+the coverage, prefix and probability helpers the tests check results with,
+and the CLI runner that asserts the refusal contract."""
 
 from __future__ import annotations
 
+import io
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+from pbelect.cli import main
 from pbelect.core import Budget, Instance, make_budget
 from pbelect.culture import UNIFORM, CultureConfig, generate
 
@@ -143,3 +149,48 @@ def probability(rows, case: str, rule: str, trial_count: int) -> Decimal:
         if (row.case, row.rule, row.trial_count) == (case, rule, trial_count):
             return Decimal(row.probability_pct)
     raise LookupError(f"no row for ({case}, {rule}, {trial_count})")
+
+
+# The error kinds of each refusal exit code.
+ERROR_KINDS = {1: ("invalid-input", "io-error"), 2: ("usage", "contract")}
+
+
+def _tree(root: Path) -> dict[Path, bytes | None]:
+    """Every path under ``root``, relative to it, with a file's bytes (None for a directory)."""
+    return {
+        path.relative_to(root): None if path.is_dir() else path.read_bytes()
+        for path in root.rglob("*")
+    }
+
+
+def run_main(argv: list[str], root: Path) -> tuple[int, str, str]:
+    """``cli.main(argv)`` run in the directory ``root`` under redirected stdout
+    and stderr: (exit code, stdout, stderr). A refusal, exit 1 or 2, must keep
+    the CLI's contract: nothing on stdout, exactly one stderr line
+    ``error: <kind>: <message>`` of a kind its code reports, and the tree under
+    ``root`` unchanged in names and bytes."""
+    before = _tree(root)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)  # a relative path the command makes lands under root
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code in ERROR_KINDS:
+        assert out == ""
+        assert err.endswith("\n") and err.splitlines() == [err[:-1]], err
+        assert err.startswith(tuple(f"error: {kind}: " for kind in ERROR_KINDS[code])), err
+        assert _tree(root) == before
+    return code, out, err
+
+
+def refused(argv: list[str], code: int, root: Path) -> str:
+    """Run ``argv`` through ``run_main``, assert that it exits with ``code``,
+    one of 1 and 2, and return its one error line."""
+    assert code in ERROR_KINDS
+    got, _, err = run_main(argv, root)
+    assert got == code, err
+    return err[:-1]

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -53,6 +54,7 @@ from pbelect.rules import (
     seq_monroe,
     stv,
 )
+from conftest import refused
 from test_harness import small_config
 
 FIXTURES = ["i_a", "i_b", "i_c", "i_d", "i_e"]
@@ -149,7 +151,7 @@ def test_gen_writes_indent2_json(culture, tmp_path):
 
 def test_gen_writes_a_large_instance_as_indent2_json(tmp_path):
     culture = CultureConfig(
-        n_range=(900, 1000), m_range=(35, 40), cost_model=UNIFORM, cost_min=1, cost_max=10,
+        n_range=(900, 1000), m_range=(35, 40), cost_model=UNIFORM, cost_min=1, cost_max=2000,
         limit_model="budget", ballot_model=PREFIX,
     )
     config = write_json(tmp_path / "culture.json", culture_config_to_dict(culture))
@@ -183,23 +185,19 @@ def _huge_cost_culture(cost):
     }
 
 
-def test_cultures_that_could_draw_unwritable_values_are_refused(tmp_path, monkeypatch, capsys):
+def test_cultures_that_could_draw_unwritable_values_are_refused(tmp_path):
     """With 20 projects of cost 10**4300 - 1 the limit could reach 4,301 digits."""
     culture = _huge_cost_culture(10**4300 - 1)
     gen_config = write_json(tmp_path / "culture.json", culture)
     study = {"trial_counts": [1], "cases": [{"name": "h", "rules": ["sccr"], "culture": culture}]}
     study_config = write_json(tmp_path / "study.json", study)
-    monkeypatch.chdir(tmp_path)
     for argv in (
         ["gen", "--config", str(gen_config), "--trial", "0", "--out", str(tmp_path / "i.json")],
         ["experiment", "--config", str(study_config), "--replay", "h:0"],
     ):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: invalid-input: cost_max and m_range")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json", "study.json"]
+        assert refused(argv, 1, tmp_path) == (
+            "error: invalid-input: cost_max and m_range allow a cost or limit of over 4300 digits"
+        )
 
 
 def test_gen_writes_the_largest_values_a_culture_allows(tmp_path):
@@ -210,41 +208,30 @@ def test_gen_writes_the_largest_values_a_culture_allows(tmp_path):
     assert main(["run-rule", "--rule", "sccr", "--instance", str(inst), "--out", str(out)]) == 0
 
 
-def test_gen_rejects_bad_config(tmp_path, capsys):
+def test_gen_rejects_bad_config(tmp_path):
     config = write_json(tmp_path / "culture.json", {"m_range": [1, 2]})
-    code = main(["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid-input:")
-    assert not (tmp_path / "x.json").exists()
+    argv = ["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")]
+    assert refused(argv, 1, tmp_path) == "error: invalid-input: m_range must be a pair of integers 3 <= lo <= hi"
 
 
-def test_gen_refuses_a_culture_whose_ballots_are_almost_never_non_empty(tmp_path, capsys):
+def test_gen_refuses_a_culture_whose_ballots_are_almost_never_non_empty(tmp_path):
     """At approval_prob 1e-300 a ballot draw approves nothing but when random()
     returns 0.0, so gen would redraw the first voter's ballot without end."""
     culture = {"ballot_model": "bernoulli", "approval_prob": 1e-300}
     config = write_json(tmp_path / "culture.json", culture)
-    code = main(["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid-input: approval_prob")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json"]
+    argv = ["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")]
+    assert refused(argv, 1, tmp_path) == "error: invalid-input: approval_prob gives a voter over 2**20 expected draws"
 
 
 @pytest.mark.parametrize("key", ["n_range", "m_range"])
-def test_gen_refuses_a_culture_too_large_to_draw(tmp_path, capsys, key):
+def test_gen_refuses_a_culture_too_large_to_draw(tmp_path, key):
     """m = 10**20 overflowed at ``costs = [1] * m`` in a traceback, and n = 10**20
     drew voters until the process was killed."""
     config = write_json(tmp_path / "culture.json", {key: [10**20, 10**20]})
-    code = main(["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid-input: n_range and m_range")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["culture.json"]
+    argv = ["gen", "--config", str(config), "--trial", "0", "--out", str(tmp_path / "x.json")]
+    assert refused(argv, 1, tmp_path) == (
+        "error: invalid-input: n_range and m_range allow over 2**24 voter-project pairs"
+    )
 
 
 # --- run-rule ----------------------------------------------------------------------
@@ -278,15 +265,9 @@ def test_run_rule_writes_an_out_name_as_long_as_a_name_can_be(tmp_path, instance
 
 
 @pytest.mark.parametrize("out, trace", [("X", "X"), ("./X", "X")], ids=["same", "dot-slash"])
-def test_run_rule_refuses_out_and_trace_in_one_file(out, trace, tmp_path, instance_file, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    before = sorted(tmp_path.iterdir())
-    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", out, "--trace", trace])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: usage: --out {out} and --trace {trace} name one file\n"
-    assert sorted(tmp_path.iterdir()) == before
+def test_run_rule_refuses_out_and_trace_in_one_file(out, trace, tmp_path, instance_file):
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", out, "--trace", trace]
+    assert refused(argv, 2, tmp_path) == f"error: usage: --out {out} and --trace {trace} name one file"
 
 
 def test_run_rule_stv_with_quota(tmp_path, i_d, capsys):
@@ -296,54 +277,58 @@ def test_run_rule_stv_with_quota(tmp_path, i_d, capsys):
     assert json.loads(capsys.readouterr().out)["selected"] == [0, 1]
 
 
-def test_run_rule_stv_with_k_zero_is_invalid_input(tmp_path, i_d, capsys):
+def test_run_rule_stv_with_k_zero_is_invalid_input(tmp_path, i_d):
     path = write_json(tmp_path / "ranked.json", instance_to_dict(i_d))
-    out = tmp_path / "budget.json"
-    code = main(["run-rule", "--rule", "stv", "--instance", str(path), "--k", "0", "--out", str(out)])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: invalid-input: k must be a positive integer\n"
-    assert not out.exists()
+    out = str(tmp_path / "budget.json")
+    argv = ["run-rule", "--rule", "stv", "--instance", str(path), "--k", "0", "--out", out]
+    assert refused(argv, 1, tmp_path) == "error: invalid-input: k must be a positive integer"
 
 
-def test_run_rule_stv_with_k_over_the_committee_size_is_invalid_input(tmp_path, i_d, capsys):
+def test_run_rule_stv_with_k_over_the_committee_size_is_invalid_input(tmp_path, i_d):
     path = write_json(tmp_path / "ranked.json", instance_to_dict(i_d))
-    out = tmp_path / "budget.json"
     k = committee_size(i_d) + 1
-    code = main(["run-rule", "--rule", "stv", "--instance", str(path), "--k", str(k), "--out", str(out)])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: invalid-input: k={k} exceeds the committee size {k - 1} the limit affords\n"
-    assert not out.exists()
+    out = str(tmp_path / "budget.json")
+    argv = ["run-rule", "--rule", "stv", "--instance", str(path), "--k", str(k), "--out", out]
+    assert refused(argv, 1, tmp_path) == (
+        f"error: invalid-input: k={k} exceeds the committee size {k - 1} the limit affords"
+    )
 
 
-def test_run_rule_stv_with_k_on_costed_instance_is_config_error(tmp_path, capsys):
+def test_run_rule_stv_with_k_on_costed_instance_is_config_error(tmp_path):
     inst = Instance([1, 2, 1], [{0}, {0, 1}, {2}], 2, rankings=[(0, 1, 2), (1, 0, 2), (2, 1, 0)])
     path = write_json(tmp_path / "costed.json", instance_to_dict(inst))
-    assert main(["run-rule", "--rule", "stv", "--instance", str(path), "--k", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: contract: this rule supports only equal project costs\n"
+    argv = ["run-rule", "--rule", "stv", "--instance", str(path), "--k", "1"]
+    assert refused(argv, 2, tmp_path) == "error: contract: this rule supports only equal project costs"
 
 
-def test_run_rule_smr_on_zero_unit_cost_is_config_error(tmp_path, capsys):
+def test_run_rule_smr_on_zero_unit_cost_is_config_error(tmp_path):
     inst = Instance([0, 0], [{0}, {1}], 1, allow_zero_cost=True)
     path = write_json(tmp_path / "zero.json", instance_to_dict(inst))
-    assert main(["run-rule", "--rule", "smr", "--instance", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: contract: equal-cost rules need a positive unit cost\n"
+    argv = ["run-rule", "--rule", "smr", "--instance", str(path)]
+    assert refused(argv, 2, tmp_path) == "error: contract: equal-cost rules need a positive unit cost"
 
 
-def test_run_rule_borda_without_rankings_is_config_error(instance_file, capsys):
-    code = main([
-        "run-rule", "--rule", "sccr", "--instance", str(instance_file),
-        "--scoring", "borda",
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: contract:")
+def test_run_rule_borda_without_rankings_is_config_error(tmp_path, instance_file):
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--scoring", "borda"]
+    assert refused(argv, 2, tmp_path) == "error: contract: borda scoring requires rankings on the instance"
+
+
+def test_run_rule_refuses_a_second_voter_that_repeats_an_id(tmp_path):
+    """A repeated id in voter 1's ranking, then in its ballot, is one error line
+    and no budget file."""
+    projects = [{"id": p, "cost": 1} for p in range(3)]
+    ranked = write_json(
+        tmp_path / "ranked.json",
+        {"limit": 2, "projects": projects, "ballots": [[0], [1]], "rankings": [[0, 1, 2], [0, 1, 1]]},
+    )
+    approval = write_json(tmp_path / "approval.json", {"limit": 2, "projects": projects, "ballots": [[0], [1, 1]]})
+    out = str(tmp_path / "budget.json")
+    argv = ["run-rule", "--rule", "stv", "--instance", str(ranked), "--out", out]
+    assert refused(argv, 1, tmp_path) == (
+        "error: invalid-input: voter 1's ranking is not a permutation of all project ids"
+    )
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(approval), "--out", out]
+    assert refused(argv, 1, tmp_path) == "error: invalid-input: voter 1's ballot repeats a project id"
 
 
 # Each rule called directly, returning its budget and the trace JSON that
@@ -377,21 +362,17 @@ def test_rule_choices_are_the_registry():
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 @pytest.mark.parametrize("rule", list(RULES))
-def test_run_rule_matches_direct_call(rule, fixture, request, tmp_path, capsys):
+def test_run_rule_matches_direct_call(rule, fixture, request, tmp_path):
     instance = request.getfixturevalue(fixture)
     path = write_json(tmp_path / "inst.json", instance_to_dict(instance))
     out, trace = tmp_path / "budget.json", tmp_path / "trace.json"
-    code = main([
-        "run-rule", "--rule", rule, "--instance", str(path),
-        "--out", str(out), "--trace", str(trace),
-    ])
+    argv = ["run-rule", "--rule", rule, "--instance", str(path), "--out", str(out), "--trace", str(trace)]
     try:
         budget, payload = DIRECT[rule](instance)
-    except ContractError:
-        assert code == 2
-        assert not out.exists() and not trace.exists()
+    except ContractError as exc:
+        assert refused(argv, 2, tmp_path) == f"error: contract: {exc}"
         return
-    assert code == 0
+    assert main(argv) == 0
     assert out.read_text() == json.dumps(budget_to_dict(budget), indent=2) + "\n"
     assert trace.read_text() == json.dumps(payload, indent=2) + "\n"
 
@@ -429,15 +410,13 @@ REFUSED_OPTIONS = {
 
 
 @pytest.mark.parametrize("rule, option, value", list(REFUSED_OPTIONS.values()), ids=list(REFUSED_OPTIONS))
-def test_run_rule_rejects_options_the_rule_does_not_take(rule, option, value, tmp_path, capsys):
+def test_run_rule_rejects_options_the_rule_does_not_take(rule, option, value, tmp_path):
     """Refused before the instance is read: the file does not even exist."""
-    out = tmp_path / "budget.json"
-    argv = ["run-rule", "--rule", rule, option, value, "--instance", str(tmp_path / "none.json")]
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: usage: --rule {rule} does not take {option}\n"
-    assert list(tmp_path.iterdir()) == []
+    argv = [
+        "run-rule", "--rule", rule, option, value, "--instance", str(tmp_path / "none.json"),
+        "--out", str(tmp_path / "budget.json"),
+    ]
+    assert refused(argv, 2, tmp_path) == f"error: usage: --rule {rule} does not take {option}"
 
 
 def test_run_rule_traces_stv_scores_of_any_size(tmp_path):
@@ -464,9 +443,31 @@ def test_run_rule_traces_stv_scores_of_any_size(tmp_path):
     assert max(len(score) for score in scores if type(score) is str) > 4300
 
 
+@pytest.mark.parametrize("scoring", [APPROVAL, BORDA])
+@pytest.mark.parametrize("trial, k", [(0, 3), (1, 2)], ids=["trial0", "trial1"])
+def test_run_rule_smr_trace_gives_each_voter_one_representative(trial, k, scoring, tmp_path):
+    """No voter in two entries, no entry over the capacity, the entries fund the
+    budget, and ``assignment.rep`` is the entries' voters in ascending order."""
+    culture = equal_valued_culture()
+    assert committee_size(generate(culture, trial)) == k
+    config = write_json(tmp_path / "culture.json", culture_config_to_dict(culture))
+    inst, out, trace = tmp_path / "i.json", tmp_path / "b.json", tmp_path / "t.json"
+    assert main(["gen", "--config", str(config), "--trial", str(trial), "--out", str(inst)]) == 0
+    argv = ["run-rule", "--rule", "smr", "--scoring", scoring, "--instance", str(inst), "--out", str(out)]
+    assert main([*argv, "--trace", str(trace)]) == 0
+    payload = json.loads(trace.read_text())
+    entries, assignment = payload["entries"], payload["assignment"]
+    voters = [v for entry in entries for v in entry["voters"]]
+    assert len(voters) == len(set(voters))
+    assert all(len(entry["voters"]) <= assignment["capacity"] for entry in entries)
+    assert sorted(entry["project"] for entry in entries) == json.loads(out.read_text())["selected"]
+    assert assignment["rep"] == {str(v): entry["project"] for entry in entries for v in entry["voters"]}
+    assert list(assignment["rep"]) == sorted(assignment["rep"], key=int)
+
+
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out-file", "stdout"])
 def test_run_rule_writes_nothing_when_an_output_cannot_be_rendered(
-    to_stdout, tmp_path, instance_file, monkeypatch, capsys
+    to_stdout, tmp_path, instance_file, monkeypatch
 ):
     def fail(self):
         raise ContractError("synthetic render failure")
@@ -475,81 +476,65 @@ def test_run_rule_writes_nothing_when_an_output_cannot_be_rendered(
     argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--trace", str(tmp_path / "t.json")]
     if not to_stdout:
         argv += ["--out", str(tmp_path / "b.json")]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: contract: synthetic render failure\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
+    assert refused(argv, 2, tmp_path) == "error: contract: synthetic render failure"
 
 
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out-file", "stdout"])
 @pytest.mark.parametrize("trace", ["missing/t.json", "taken"], ids=["missing-dir", "dir-target"])
-def test_run_rule_writes_nothing_when_an_output_cannot_be_written(
-    to_stdout, trace, tmp_path, instance_file, capsys
-):
+def test_run_rule_writes_nothing_when_an_output_cannot_be_written(to_stdout, trace, tmp_path, instance_file):
     """Every temp file exists before any target is replaced, a failed rename
     takes back the targets already replaced, and stdout comes last."""
     (tmp_path / "taken").mkdir()
     argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--trace", str(tmp_path / trace)]
     if not to_stdout:
         argv += ["--out", str(tmp_path / "b.json")]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: io-error:") and captured.err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "taken"]
-    assert list((tmp_path / "taken").iterdir()) == []
+    line = refused(argv, 1, tmp_path)
+    if trace == "taken":
+        assert line == f"error: io-error: [Errno 21] Is a directory: '{tmp_path / 'taken'}'"
+    else:  # the temp file beside the trace cannot be made
+        temp = re.escape(str(tmp_path / "missing")) + r"/pbelect\.[0-9a-f]{16}\.tmp"
+        assert re.fullmatch(rf"error: io-error: \[Errno 2\] No such file or directory: '{temp}'", line), line
 
 
-def test_failed_run_rule_keeps_an_earlier_output(tmp_path, instance_file, capsys):
+def test_failed_run_rule_keeps_an_earlier_output(tmp_path, instance_file):
     """A trace target that is a directory is refused before any rename, so
     the budget file of an earlier run keeps its bytes."""
     (tmp_path / "b.json").write_text("OLD\n")
     (tmp_path / "d").mkdir()
-    code = main([
+    argv = [
         "run-rule", "--rule", "sccr", "--instance", str(instance_file),
         "--out", str(tmp_path / "b.json"), "--trace", str(tmp_path / "d"),
-    ])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: io-error:")
-    assert (tmp_path / "b.json").read_text() == "OLD\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "d", "instance.json"]
-    assert list((tmp_path / "d").iterdir()) == []
+    ]
+    assert refused(argv, 1, tmp_path) == f"error: io-error: [Errno 21] Is a directory: '{tmp_path / 'd'}'"
 
 
-def test_run_rule_malformed_json(tmp_path, capsys):
+def test_run_rule_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["run-rule", "--rule", "sccr", "--instance", str(bad)]) == 1
-    assert "error: invalid-input:" in capsys.readouterr().err
+    assert refused(["run-rule", "--rule", "sccr", "--instance", str(bad)], 1, tmp_path) == (
+        f"error: invalid-input: {bad} is not readable JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
 
 
-def test_run_rule_missing_file(tmp_path, capsys):
+def test_run_rule_missing_file(tmp_path):
     missing = tmp_path / "nothing.json"
-    assert main(["run-rule", "--rule", "sccr", "--instance", str(missing)]) == 1
-    assert str(missing) in capsys.readouterr().err
+    assert refused(["run-rule", "--rule", "sccr", "--instance", str(missing)], 1, tmp_path) == (
+        f"error: io-error: [Errno 2] No such file or directory: '{missing}'"
+    )
 
 
-def test_failed_write_leaves_no_temp_file(tmp_path, instance_file, capsys):
+def test_failed_write_leaves_no_temp_file(tmp_path, instance_file):
     target = tmp_path / "taken"
     target.mkdir()
-    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", str(target)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: io-error:")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "taken"]
-    assert list(target.iterdir()) == []
-
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", str(target)]
+    assert refused(argv, 1, tmp_path) == f"error: io-error: [Errno 21] Is a directory: '{target}'"
 
 
 @pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
-def test_output_path_without_a_name_is_an_io_error(out, tmp_path, instance_file, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code = main(["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", out])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: io-error:")
-    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
+def test_output_path_without_a_name_is_an_io_error(out, tmp_path, instance_file):
+    argv = ["run-rule", "--rule", "sccr", "--instance", str(instance_file), "--out", out]
+    assert refused(argv, 1, tmp_path) == "error: io-error: [Errno 21] Is a directory: '.'"
 
 # --- check-axiom ----------------------------------------------------------------------
 
@@ -600,7 +585,7 @@ def test_rule_and_axiom_outputs_are_indent2_json(fixture, request, tmp_path):
             assert report_path.read_bytes() == indent2(report.to_dict())
 
 
-def test_check_axiom_names_a_recomputed_total_cost_over_the_digit_limit(tmp_path, capsys):
+def test_check_axiom_names_a_recomputed_total_cost_over_the_digit_limit(tmp_path):
     """20 costs of 10**4299 - 1 sum to 4,301 digits, past int-to-str's limit;
     a stated total_cost that disagrees is one error line, not a traceback."""
     cost = 10**4299 - 1
@@ -608,31 +593,25 @@ def test_check_axiom_names_a_recomputed_total_cost_over_the_digit_limit(tmp_path
     instance = {"limit": 10**4299, "projects": projects, "ballots": [[0]]}
     inst = write_json(tmp_path / "inst.json", instance)
     budget = write_json(tmp_path / "budget.json", {"selected": list(range(20)), "total_cost": 1})
-    out = tmp_path / "report.json"
-    code = main([
+    argv = [
         "check-axiom", "--axiom", "ujr", "--instance", str(inst),
-        "--budget", str(budget), "--out", str(out),
-    ])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
+        "--budget", str(budget), "--out", str(tmp_path / "report.json"),
+    ]
     recomputed = Decimal(20 * cost)
-    expected = f"error: invalid-input: stated total_cost 1 does not match recomputed {recomputed}"
-    assert captured.err.splitlines() == [expected]
+    assert refused(argv, 1, tmp_path) == (
+        f"error: invalid-input: stated total_cost 1 does not match recomputed {recomputed}"
+    )
 
 
-def test_check_axiom_no_partial_output_on_contract_error(tmp_path, capsys):
+def test_check_axiom_no_partial_output_on_contract_error(tmp_path):
     infeasible = Instance([2, 2], [{0}, {1}], 2)
     inst = write_json(tmp_path / "inst.json", instance_to_dict(infeasible))
     budget = write_json(tmp_path / "budget.json", {"selected": [0, 1]})
-    out = tmp_path / "report.json"
-    code = main([
+    argv = [
         "check-axiom", "--axiom", "ujr", "--instance", str(inst),
-        "--budget", str(budget), "--out", str(out),
-    ])
-    assert code == 2
-    assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: contract:")
+        "--budget", str(budget), "--out", str(tmp_path / "report.json"),
+    ]
+    assert refused(argv, 2, tmp_path) == "error: contract: axiom checks require a feasible budget"
 
 
 # --- malformed input values ------------------------------------------------------------
@@ -713,16 +692,13 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("argv, inputs", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_values_exit_1_with_one_error_line(argv, inputs, tmp_path, capsys):
+def test_malformed_values_exit_1_with_one_error_line(argv, inputs, tmp_path):
     paths = {}
     for key, data in inputs.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
-    code = main([arg.format(out=tmp_path / "out", **paths) for arg in argv])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid-input:")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{key}.json" for key in inputs)
+    argv = [arg.format(out=tmp_path / "out", **paths) for arg in argv]
+    assert refused(argv, 1, tmp_path).startswith("error: invalid-input: ")
 
 
 # --- gen | run-rule | check-axiom round trip ----------------------------------------------
@@ -769,37 +745,30 @@ def test_experiment_and_plot_data_round_trip(tmp_path, capsys):
         assert (replot / name).read_bytes() == (out_dir / name).read_bytes()
 
 
-def test_experiment_writes_all_of_its_outputs_or_none(tmp_path, capsys):
+def test_experiment_writes_all_of_its_outputs_or_none(tmp_path):
     config = write_json(
         tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(3,)))
     )
     out_dir = tmp_path / "out"
     (out_dir / "plot_equal.csv").mkdir(parents=True)
-    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: io-error:")
-    assert [p.name for p in out_dir.iterdir()] == ["plot_equal.csv"]
+    argv = ["experiment", "--config", str(config), "--out-dir", str(out_dir)]
+    assert refused(argv, 1, tmp_path) == (
+        f"error: io-error: [Errno 21] Is a directory: '{out_dir / 'plot_equal.csv'}'"
+    )
 
 
-def test_failed_experiment_keeps_the_outputs_of_an_earlier_run(tmp_path, capsys):
+def test_failed_experiment_keeps_the_outputs_of_an_earlier_run(tmp_path):
     config = write_json(
         tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(3,)))
     )
     out_dir = tmp_path / "out"
     (out_dir / "plot_equal.csv").mkdir(parents=True)
-    earlier = {"results.csv": b"earlier results\n", "plot_general.csv": b"earlier plot\n"}
-    for name, data in earlier.items():
-        (out_dir / name).write_bytes(data)
-    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: io-error:")
-    assert sorted(p.name for p in out_dir.iterdir()) == ["plot_equal.csv", *sorted(earlier)]
-    assert {name: (out_dir / name).read_bytes() for name in earlier} == earlier
-    assert list((out_dir / "plot_equal.csv").iterdir()) == []
+    (out_dir / "results.csv").write_bytes(b"earlier results\n")
+    (out_dir / "plot_general.csv").write_bytes(b"earlier plot\n")
+    argv = ["experiment", "--config", str(config), "--out-dir", str(out_dir)]
+    assert refused(argv, 1, tmp_path) == (
+        f"error: io-error: [Errno 21] Is a directory: '{out_dir / 'plot_equal.csv'}'"
+    )
 
 
 # 21 relative directories, 4,075 characters: mkdir makes them, but a file name
@@ -808,34 +777,25 @@ LONG_OUT_DIR = "/".join(["d" * 193] * 20 + ["d" * 195])
 
 
 @pytest.mark.parametrize("command", ["experiment", "plot-data"])
-def test_failed_study_write_leaves_no_new_directory(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_failed_study_write_leaves_no_new_directory(command, tmp_path):
     config = small_config(trial_counts=(3,))
     write_json(tmp_path / "exp.json", experiment_config_to_dict(config))
     write_results_csv(run_experiment(config), tmp_path / "results.csv")
-    before = sorted(tmp_path.iterdir())
     inputs = ["--config", "exp.json"] if command == "experiment" else ["--results", "results.csv"]
-    assert main([command, *inputs, "--out-dir", LONG_OUT_DIR]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: io-error:")
-    assert sorted(tmp_path.iterdir()) == before
+    line = refused([command, *inputs, "--out-dir", LONG_OUT_DIR], 1, tmp_path)
+    temp = re.escape(LONG_OUT_DIR) + r"/pbelect\.[0-9a-f]{16}\.tmp"
+    assert re.fullmatch(rf"error: io-error: \[Errno 36\] File name too long: '{temp}'", line), line
 
 
-def test_experiment_refuses_a_case_culture_seed_it_would_replace(tmp_path, capsys):
+def test_experiment_refuses_a_case_culture_seed_it_would_replace(tmp_path):
     data = experiment_config_to_dict(small_config(trial_counts=(3,)))
     data["cases"][1]["culture"]["master_seed"] = 12345
     config = write_json(tmp_path / "exp.json", data)
-    out_dir = tmp_path / "out"
-    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
+    argv = ["experiment", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert refused(argv, 1, tmp_path) == (
         "error: invalid-input: case 'general' culture master_seed 12345 "
-        "is not the experiment's master_seed 31\n"
+        "is not the experiment's master_seed 31"
     )
-    assert not out_dir.exists()
 
 
 def test_experiment_timing_fills_elapsed_only(tmp_path, capsys):
@@ -871,46 +831,41 @@ def test_experiment_replay_takes_the_seed_option(capsys):
     assert payload["instance"] == instance_to_dict(generate(equal_valued_culture(5), 3))
 
 
-def test_experiment_rejects_bad_replay_spec(tmp_path, capsys):
+def test_experiment_rejects_bad_replay_spec(tmp_path):
     config = write_json(tmp_path / "exp.json", experiment_config_to_dict(small_config()))
-    assert main(["experiment", "--config", str(config), "--replay", "equal"]) == 1
-    assert "CASE:TRIAL" in capsys.readouterr().err
+    argv = ["experiment", "--config", str(config), "--replay", "equal"]
+    assert refused(argv, 1, tmp_path) == "error: invalid-input: --replay expects CASE:TRIAL, e.g. equal:17"
 
 
-def test_experiment_replay_of_a_negative_trial_is_invalid_input(capsys):
-    assert main(["experiment", "--replay", "equal:-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: invalid-input: trial index must be a non-negative integer\n"
+def test_experiment_replay_of_a_negative_trial_is_invalid_input(tmp_path):
+    assert refused(["experiment", "--replay", "equal:-1"], 1, tmp_path) == (
+        "error: invalid-input: trial index must be a non-negative integer"
+    )
 
 
 @pytest.mark.parametrize(
-    "options, refused",
+    "options, refused_option",
     [(["--workers", "0"], "--workers"), (["--timing"], "--timing"), (["--out-dir", "o"], "--out-dir")],
     ids=["workers", "timing", "out-dir"],
 )
-def test_experiment_replay_rejects_options_it_ignores(options, refused, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["experiment", "--replay", "equal:0", *options]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: usage: --replay does not take {refused}\n"
-    assert list(tmp_path.iterdir()) == []
+def test_experiment_replay_rejects_options_it_ignores(options, refused_option, tmp_path):
+    assert refused(["experiment", "--replay", "equal:0", *options], 2, tmp_path) == (
+        f"error: usage: --replay does not take {refused_option}"
+    )
 
 
-def test_experiment_rejects_invalid_config(tmp_path, capsys):
+def test_experiment_rejects_invalid_config(tmp_path):
     config = write_json(tmp_path / "exp.json", {"trial_counts": [0], "cases": []})
-    assert main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: invalid-input:")
+    argv = ["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+    assert refused(argv, 1, tmp_path) == "error: invalid-input: every trial count must be a positive integer"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_experiment_rejects_workers_below_one(workers, tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    assert main(["experiment", "--workers", workers, "--out-dir", str(out_dir)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid-input:")
-    assert not out_dir.exists()
+def test_experiment_rejects_workers_below_one(workers, tmp_path):
+    argv = ["experiment", "--workers", workers, "--out-dir", str(tmp_path / "out")]
+    assert refused(argv, 1, tmp_path) == (
+        f"error: invalid-input: workers must be a positive integer, got {int(workers)}"
+    )
 
 
 # Unsafe case names, then impossible counts, times and probabilities.
@@ -940,13 +895,11 @@ BAD_ROWS = {
 
 
 @pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
-def test_plot_data_rejects_unsafe_case_names(row, tmp_path, capsys):
+def test_plot_data_rejects_unsafe_case_names(row, tmp_path):
     results = tmp_path / "results.csv"
     results.write_text(f"trial_count,case,rule,probability_pct,elapsed_ms\n{row}\n")
-    out_dir = tmp_path / "plots"
-    assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
-    assert capsys.readouterr().err.startswith("error: invalid-input:")
-    assert not out_dir.exists()
+    argv = ["plot-data", "--results", str(results), "--out-dir", str(tmp_path / "plots")]
+    assert refused(argv, 1, tmp_path).startswith("error: invalid-input: ")
 
 
 GOOD_RESULTS = "trial_count,case,rule,probability_pct,elapsed_ms\n5,a,sccr,40.00,0\n"
@@ -960,16 +913,14 @@ BAD_RESULTS = {
 
 
 @pytest.mark.parametrize("text", list(BAD_RESULTS.values()), ids=list(BAD_RESULTS))
-def test_plot_data_reads_only_what_experiment_writes(text, tmp_path, capsys):
+def test_plot_data_reads_only_what_experiment_writes(text, tmp_path):
     results = tmp_path / "results.csv"
     results.write_bytes(text.encode())
     out_dir = tmp_path / "plots"
-    assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid-input:")
-    assert not out_dir.exists()
+    argv = ["plot-data", "--results", str(results), "--out-dir", str(out_dir)]
+    assert refused(argv, 1, tmp_path).startswith("error: invalid-input: ")
     results.write_text(GOOD_RESULTS)
-    assert main(["plot-data", "--results", str(results), "--out-dir", str(out_dir)]) == 0
+    assert main(argv) == 0
     assert (out_dir / "plot_a.csv").read_text() == "trial_count,rule,probability\n5,sccr,40.00\n"
 
 
@@ -988,14 +939,8 @@ def test_plot_data_reads_only_what_experiment_writes(text, tmp_path, capsys):
         "unrecognized-cr", "unrecognized-vt", "unrecognized-fs", "unrecognized-nel", "unrecognized-ls",
     ],
 )
-def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: usage: "), err
-    assert list(tmp_path.iterdir()) == []
+def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path):
+    assert refused(argv, 2, tmp_path).startswith("error: usage: ")
 
 
 def test_module_entry_point_runs():

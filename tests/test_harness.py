@@ -228,6 +228,7 @@ def test_one_pool_for_the_whole_study_and_none_when_serial(workers, pools, monke
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = small_config(trial_counts=(5,))
     assert len(config.cases) == 2
     run_experiment(config, workers=workers)
@@ -236,7 +237,8 @@ def test_one_pool_for_the_whole_study_and_none_when_serial(workers, pools, monke
 
 def test_the_pool_has_no_more_processes_than_cpus(monkeypatch):
     """A process pool starts every one of its ``max_workers`` at the first
-    submit, so a pool sized by ``workers`` alone would start 10**6 here."""
+    submit, so a pool sized by ``workers`` alone would start 10**6 here; and
+    a pool of one process would only add start-up, so one CPU runs serially."""
     import concurrent.futures
 
     sizes = []
@@ -256,8 +258,12 @@ def test_the_pool_has_no_more_processes_than_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     config = small_config(trial_counts=(5,))
-    assert run_experiment(config, workers=10**6) == run_experiment(config)
-    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    serial = run_experiment(config)
+    for cpus, pools in ((4, [4]), (1, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_experiment(config, workers=10**6) == serial
+        assert sizes == pools
 
 
 def test_serial_commands_never_load_the_process_pool():

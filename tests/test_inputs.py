@@ -8,12 +8,10 @@ the CLI ends in ValidationError or a clean exit code, never a traceback.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -40,6 +38,7 @@ from pbelect.harness import (
     run_experiment,
     write_results_csv,
 )
+from conftest import run_main
 from test_harness import small_config
 
 CULTURE = CultureConfig()
@@ -280,18 +279,13 @@ def test_cli_ends_every_json_input_with_an_exit_code(argv, instance, budget):
         paths = {key: tmp / f"{key}.json" for key in ("inst", "budget", "out", "trace")}
         paths["inst"].write_text(json.dumps(instance))
         paths["budget"].write_text(json.dumps(budget))
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = main([arg.format(**paths) for arg in argv])
+        code, _, err = run_main([arg.format(**paths) for arg in argv], tmp)
         event(f"exit code {code}")
         assert code in (0, 1, 2, 3)
-        lines = stderr.getvalue().splitlines()
-        assert len(lines) == (code in (1, 2))
-        assert all(line.startswith("error: ") for line in lines)
-        outputs = set()
         if code in (0, 3):
+            assert err == ""
             outputs = {"out.json", "trace.json"} if argv[0] == "run-rule" else {"out.json"}
-        assert {p.name for p in tmp.iterdir()} == {"inst.json", "budget.json"} | outputs
+            assert {p.name for p in tmp.iterdir()} == {"inst.json", "budget.json"} | outputs
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,21 +382,15 @@ def test_cli_ends_every_argv_with_an_exit_code(argv, at, insert, text):
         tmp = Path(tmp)
         _argv_inputs(tmp)
         inputs = set(tmp.iterdir())
-        mp.chdir(tmp)
         # without --config the default study would run its 5,000 trials
         mp.setattr(cli, "default_experiment_config", lambda: small_config(trial_counts=(2,)))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(argv)
+        code, _, err = run_main(argv, tmp)  # a refusal, exit 1 or 2, leaves the tree as it was
         event(f"exit code {code}")
         assert code in (0, 1, 2, 3)
-        lines = stderr.getvalue().splitlines()
-        assert len(lines) == (code in (1, 2))
-        assert all(line.startswith("error: ") for line in lines)
+        if code in (0, 3):
+            assert err == ""
         made = [path.relative_to(tmp) for path in tmp.rglob("*") if path not in inputs]
         assert not [path for path in made if TEMP_FILE.search(path.name)]
-        if code in (1, 2):
-            assert stdout.getvalue() == "" and made == []
         named = {Path(arg) for arg in argv} | {Path("out")}
         for path in made:  # each output is a path argv names, inside one, or above one
             assert any(path == a or a in path.parents or path in a.parents for a in named), path
@@ -431,17 +419,12 @@ def test_plot_data_reads_only_bytes_write_results_csv_writes(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "results.csv").write_bytes(data)
-        out_dir = tmp / "plots"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(["plot-data", "--results", str(tmp / "results.csv"), "--out-dir", str(out_dir)])
+        argv = ["plot-data", "--results", str(tmp / "results.csv"), "--out-dir", str(tmp / "plots")]
+        code, _, err = run_main(argv, tmp)
         event(f"exit code {code}")
         if code == 0:
             write_results_csv(results_from_csv(tmp / "results.csv"), tmp / "again.csv")
             assert (tmp / "again.csv").read_bytes() == data
-            assert stderr.getvalue() == ""
+            assert err == ""
         else:
-            assert code == 1
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: invalid-input:")
-            assert stdout.getvalue() == "" and not out_dir.exists()
+            assert code == 1 and err.startswith("error: invalid-input: ")
