@@ -66,7 +66,7 @@ def check_axiom(instance: Instance, budget: Budget, axiom: str) -> AxiomReport:
 
 def verify_witness(instance: Instance, budget: Budget, report: AxiomReport) -> bool:
     """Re-check a report's witness by the definition, over the ballots and funded
-    projects, not the scan's masks; every instance builds its ballots from them."""
+    projects: this checks the scan's logic, not the masks ``Instance.ballots`` reads."""
     if report.satisfied != (report.witness is None):
         return False
     if report.witness is None:

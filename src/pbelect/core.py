@@ -4,16 +4,17 @@ Money is integral throughout, so feasibility and exhaustiveness are exact
 integer comparisons with no tolerance questions. Instances validate on
 construction and are immutable afterwards; every operation below is a pure
 function and safe to call concurrently. An instance stores its approvals as
-one voter bitmask per project and builds its per-voter ballot sets from them
-only if read.
+one voter bitmask per project; its per-voter ballot sets are a cached
+property, built from the masks only if read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from itertools import chain, compress, count
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -93,62 +94,32 @@ def _rankings(rankings: tuple, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rankings))
 
 
-class _Deferrable:
-    """A frozen dataclass whose deferred objects, made without its ``__init__``,
-    hold the fields and cached values given, and take the rest from the pure
-    ``build()`` at the first read of any (two racing threads at worst build
-    twice). A field with a class default reads as that default unless given:
-    its read never reaches ``__getattr__``.
-    """
-
-    @classmethod
-    def _deferred(cls, build: Callable[[], dict], **known: object):
-        self = object.__new__(cls)
-        vars(self).update(known, _build=build)
-        return self
-
-    def __getattr__(self, name: str):
-        # reached only for names not yet set: a deferred object's fields before their first read
-        state = vars(self)
-        build = state.get("_build")
-        if build is not None and name in self.__dataclass_fields__:
-            state.update(build())
-            state.pop("_build", None)
-        try:
-            return state[name]  # set above, or by a thread whose first read came first
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __reduce__(self):
-        # a deferred object holds a closure, which does not pickle: all reduce to the constructor
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
 @dataclass(frozen=True, init=False)
-class Instance(_Deferrable):
+class Instance:
     """One participatory-budgeting election.
 
     A project is its index ``p`` and costs ``costs[p]``. ``ballots[i]`` is
     voter ``i``'s approval set. ``rankings``, when present, holds one full
     preference order per voter, most preferred first. Zero-cost projects are
     rejected unless ``allow_zero_cost`` is set; empty approval ballots are
-    always rejected. Every field is checked here; lists are accepted and
+    always rejected. Every argument is checked here; lists are accepted and
     stored as tuples, and anything malformed raises ValidationError.
 
-    Every instance holds ``n`` and ``approver_masks``, for each project the
+    An instance stores ``n`` and ``approver_masks``, for each project the
     voters approving it as a bitmask (bit v is voter v), in place of its
     ballots: ``ballots``, one frozenset per voter, is built from the masks
-    on its first read.
+    on its first read. Equality, hashing, repr, pickling and copying use the
+    six stored fields alone.
     """
 
     costs: tuple[int, ...]
-    ballots: tuple[frozenset[int], ...]
     limit: int
-    rankings: tuple[tuple[int, ...], ...] | None = None
-    allow_zero_cost: bool = False
+    rankings: tuple[tuple[int, ...], ...] | None
+    allow_zero_cost: bool
+    n: int
+    approver_masks: tuple[int, ...]
 
-    # __new__ and no __init__: the checks return a deferred object that builds its ballots on first read
-    def __new__(cls, costs, ballots, limit, rankings=None, allow_zero_cost=False) -> Instance:
+    def __init__(self, costs, ballots, limit, rankings=None, allow_zero_cost=False) -> None:
         if type(allow_zero_cost) is not bool:
             raise ValidationError("allow_zero_cost must be a boolean")
         costs = as_tuple(costs, "costs")
@@ -177,16 +148,22 @@ class Instance(_Deferrable):
             if len(rankings) != len(ballots):
                 raise ValidationError("rankings, when given, must cover every voter")
             rankings = _rankings(rankings, len(costs))
-        return cls._from_masks(costs, limit, rankings, allow_zero_cost, masks, len(ballots))
+        self._store(costs, limit, rankings, allow_zero_cost, masks, len(ballots))
 
     @classmethod
     def _from_masks(cls, costs, limit, rankings, allow_zero_cost, masks, n) -> Instance:
-        """The instance of these valid parts, unchecked: ``ballots`` builds from the masks."""
-        return cls._deferred(
-            lambda: {"ballots": tuple(map(frozenset, ballots_from_masks(masks, n)))},
-            costs=costs, limit=limit, rankings=rankings, allow_zero_cost=allow_zero_cost,
-            n=n, approver_masks=masks,
-        )
+        """The instance of these valid parts, unchecked."""
+        return object.__new__(cls)._store(costs, limit, rankings, allow_zero_cost, masks, n)
+
+    def _store(self, costs, limit, rankings, allow_zero_cost, masks, n) -> Instance:
+        """Set the six fields past the frozen ``__setattr__``: both constructors end here."""
+        vars(self).update(costs=costs, limit=limit, rankings=rankings,
+                          allow_zero_cost=allow_zero_cost, n=n, approver_masks=masks)
+        return self
+
+    @cached_property
+    def ballots(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, ballots_from_masks(self.approver_masks, self.n)))
 
     @property
     def m(self) -> int:

@@ -288,6 +288,8 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
     replaced: list[Path] = []
     try:
         for path, text in outputs:
+            if path == "":  # Path("") is ".", a directory the caller never named
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             path = Path(path)
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
 from .core import (
-    _Deferrable,
     Budget,
     ConfigurationError,
     Instance,
@@ -48,7 +47,7 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
-class RuleTrace(_Deferrable):
+class RuleTrace:
     """Audit log of a rule run: one entry per selected project, in order.
 
     ``RuleTrace(rule, entries, capacity)`` holds what it is given. A rule
@@ -61,6 +60,29 @@ class RuleTrace(_Deferrable):
     rule: str
     entries: tuple[TraceEntry, ...]
     capacity: int | None = None  # set by smr
+
+    @classmethod
+    def _deferred(cls, build: Callable[[], tuple], rule: str, capacity: int | None = None):
+        """The trace whose ``entries`` are the pure ``build()``, called at their first read."""
+        self = object.__new__(cls)
+        vars(self).update(rule=rule, capacity=capacity, _build=build)
+        return self
+
+    def __getattr__(self, name: str):
+        # reached only for names not set: a deferred trace's entries before their first read
+        state = vars(self)
+        build = state.get("_build")
+        if name == "entries" and build is not None:
+            state["entries"] = build()
+            state.pop("_build", None)
+        try:
+            return state[name]  # set above, or by a thread whose first read came first
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __reduce__(self):
+        # a deferred trace holds a closure, which does not pickle: reduce to the constructor
+        return RuleTrace, (self.rule, self.entries, self.capacity)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -161,7 +183,7 @@ def seq_chamberlin_courant(
             covered = _rank_sums([rankings[v] for v in voter_ids(newly)], m)
             rank_sums = list(map(operator.sub, rank_sums, covered))
 
-    trace = RuleTrace._deferred(lambda: {"entries": _trace_entries(picks)}, rule="sccr")
+    trace = RuleTrace._deferred(lambda: _trace_entries(picks), "sccr")
     return make_budget(instance, chosen), trace
 
 
@@ -350,7 +372,7 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
             picks.append((best, total, top))
             unassigned ^= top
 
-    trace = RuleTrace._deferred(lambda: {"entries": _trace_entries(picks)}, rule="smr", capacity=cap)
+    trace = RuleTrace._deferred(lambda: _trace_entries(picks), "smr", cap)
     return make_budget(instance, [p for p, _, _ in picks]), trace
 
 
@@ -438,11 +460,10 @@ def stv(
             den //= g
             support = {c: s * scale // g for c, s in support.items()}
 
-    def build() -> dict:
-        entries = tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in picks)
-        return {"entries": entries}
+    def build() -> tuple[TraceEntry, ...]:
+        return tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in picks)
 
-    trace = RuleTrace._deferred(build, rule="stv")
+    trace = RuleTrace._deferred(build, "stv")
     return make_budget(instance, [c for c, _, _, _ in picks]), trace
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the five hand-traced elections, random-instance helpers,
 the coverage, prefix and probability helpers the tests check results with,
-and the CLI runner that asserts the refusal contract."""
+the probe that forbids building an instance's ballots, and the CLI runner
+that asserts the refusal contract."""
 
 from __future__ import annotations
 
@@ -141,6 +142,15 @@ def prefix_coherent(instance: Instance) -> bool:
         ballot == frozenset(ranking[: len(ballot)])
         for ballot, ranking in zip(instance.ballots, instance.rankings)
     )
+
+
+def forbid_ballot_builds(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make every read of ``Instance.ballots`` raise, whether or not it was cached."""
+
+    def unbuildable(instance: Instance):
+        raise AssertionError("an Instance's ballots were built")
+
+    monkeypatch.setattr(Instance, "ballots", property(unbuildable))
 
 
 def probability(rows, case: str, rule: str, trial_count: int) -> Decimal:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbelect.core import Instance, ValidationError
+from pbelect.core import Instance, ValidationError, instance_from_dict, instance_to_dict
 from pbelect.culture import (
     BERNOULLI,
     BUDGET,
@@ -29,7 +29,7 @@ from pbelect.culture import (
     generate,
 )
 
-from conftest import prefix_coherent
+from conftest import forbid_ballot_builds, prefix_coherent
 from oracles import naive_approver_masks
 
 
@@ -142,8 +142,9 @@ GENERATED = {
 
 @pytest.mark.parametrize("culture", list(GENERATED))
 def test_a_generated_instance_behaves_like_a_checked_one(culture):
-    """generate's instance builds its ballots from its masks on their first
-    read, whichever operation reads them, and keeps what it built."""
+    """generate's instance behaves like the checked one: it compares, hashes,
+    prints, pickles and copies alike, and builds its ballots from its masks on
+    their first read and keeps what it built."""
     config = GENERATED[culture]
     for trial in range(20):
         g = generate(config, trial)
@@ -164,6 +165,28 @@ def test_n_and_approver_masks_build_no_ballots():
         assert g.n >= 1 and len(g.approver_masks) == g.m
         assert "ballots" not in vars(g)
         assert len(g.ballots) == g.n and "ballots" in vars(g)
+
+
+@pytest.mark.parametrize("culture", list(GENERATED))
+def test_an_instance_compares_pickles_and_copies_without_its_ballots(culture, monkeypatch):
+    """Equality, hashing, repr, pickling and deep copying use an instance's six
+    stored fields alone: none of them builds the ballots of a generated or a
+    decoded instance, and each round trip compares equal. A pickle of an
+    instance whose ballots were read still equals it."""
+    generated = generate(GENERATED[culture], 3)
+    decoded = instance_from_dict(instance_to_dict(generated))
+    forbid_ballot_builds(monkeypatch)
+    assert generated == decoded and hash(generated) == hash(decoded)
+    assert repr(generated) == repr(decoded)
+    for instance in (generated, decoded):
+        for twin in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance)):
+            assert type(twin) is Instance and twin == instance and instance == twin
+            assert hash(twin) == hash(instance) and repr(twin) == repr(instance)
+    monkeypatch.undo()
+    assert "ballots" not in vars(generated) and "ballots" not in vars(decoded)
+    ballots = generated.ballots
+    twin = pickle.loads(pickle.dumps(generated))
+    assert twin == generated and twin.ballots == ballots
 
 
 def test_unit_model_invariants():

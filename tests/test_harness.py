@@ -34,7 +34,7 @@ from pbelect.harness import (
     write_results_csv,
 )
 
-from conftest import probability
+from conftest import forbid_ballot_builds, probability
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -344,19 +344,6 @@ def test_replay_unknown_case():
         replay_trial(small_config(), "nope", 0)
 
 
-def _fail_deferred_builds(monkeypatch, cls) -> None:
-    """Make the build of every deferred ``cls`` object fail."""
-    deferred = cls._deferred.__func__
-
-    def unbuildable(cls, build, **known):
-        def fail():
-            raise AssertionError(f"a deferred {cls.__name__} was built: {sorted(known)}")
-
-        return deferred(cls, fail, **known)
-
-    monkeypatch.setattr(cls, "_deferred", classmethod(unbuildable))
-
-
 def test_the_study_and_replay_build_no_trace(monkeypatch):
     """A trial reads only each rule's budget, so no rule trace is ever built:
     with every trace's build made to fail, the study and --replay return what
@@ -366,7 +353,15 @@ def test_the_study_and_replay_build_no_trace(monkeypatch):
     config = default_experiment_config(trial_counts=(50,))
     rows = run_experiment(config)
     replays = [replay_trial(config, case.name, 7) for case in config.cases]
-    _fail_deferred_builds(monkeypatch, RuleTrace)
+    deferred = RuleTrace._deferred.__func__
+
+    def unbuildable(cls, build, rule, capacity=None):
+        def fail():
+            raise AssertionError(f"a deferred {rule} trace was built")
+
+        return deferred(cls, fail, rule, capacity)
+
+    monkeypatch.setattr(RuleTrace, "_deferred", classmethod(unbuildable))
     assert run_experiment(config) == rows
     assert [replay_trial(config, case.name, 7) for case in config.cases] == replays
 
@@ -374,8 +369,8 @@ def test_the_study_and_replay_build_no_trace(monkeypatch):
 def test_the_study_replay_and_gen_build_no_ballots(monkeypatch, tmp_path):
     """The rules and the axiom check read an instance's approver masks and
     ``instance_to_dict`` writes its ballots from them, so no ballot set is
-    ever built: with the build of every instance, generated or read from JSON,
-    made to fail, the study, --replay, gen, run-rule under both scorings and
+    ever built: with every read of an instance's ballots, generated or read
+    from JSON, made to fail, the study, --replay, gen, run-rule under both scorings and
     both check-axioms return and write what they did before."""
     from pbelect.cli import main
     from pbelect.culture import culture_config_to_dict
@@ -404,11 +399,11 @@ def test_the_study_replay_and_gen_build_no_ballots(monkeypatch, tmp_path):
         return run_experiment(config), replays, written
 
     before = outputs("before")
-    _fail_deferred_builds(monkeypatch, Instance)
+    forbid_ballot_builds(monkeypatch)
     assert outputs("after") == before
-    with pytest.raises(AssertionError, match="deferred Instance was built"):
+    with pytest.raises(AssertionError, match="an Instance's ballots were built"):
         generate(config.cases[0].culture, 7).ballots
-    with pytest.raises(AssertionError, match="deferred Instance was built"):
+    with pytest.raises(AssertionError, match="an Instance's ballots were built"):
         Instance([1, 1], [[0], [1]], 1).ballots
 
 
