@@ -203,7 +203,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
     Trial seeds depend only on (master_seed, trial index), and counts are
     prefix sums over the shared trial stream, so the result is independent of
     evaluation order and of ``workers``. Trials are folded into running counts
-    as they arrive, so memory does not grow with the number of trials.
+    as they arrive, so memory does not grow with the number of trials. A
+    worker process that dies ends the run in ContractError.
     """
     if workers is not None and (type(workers) is not int or workers < 1):
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
@@ -215,11 +216,15 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
     if workers > 1:
         # imported here: it loads multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # one pool for every case; map returns results in job order
         chunk = max(1, len(config.cases) * max_trials // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _aggregate(config, pool.map(job, jobs, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return _aggregate(config, pool.map(job, jobs, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            raise ContractError(f"a worker process died: {exc}") from exc
     return _aggregate(config, map(job, jobs))
 
 
@@ -344,8 +349,8 @@ def _results_text(rows: tuple[ResultRow, ...]) -> str:
     return _csv_line(RESULTS_HEADER) + "".join([_csv_line(astuple(row)) for row in rows])
 
 
-def _plot_outputs(rows: tuple[ResultRow, ...], out_dir: Path) -> list[tuple[Path, str]]:
-    """One ``(out_dir/plot_<case>.csv, text)`` per case, each with
+def _plot_outputs(rows: tuple[ResultRow, ...]) -> list[tuple[str, str]]:
+    """One ``(plot_<case>.csv, text)`` per case, each with
     (trial_count, rule, probability) by trial count."""
     if not rows:
         raise ContractError("cannot emit plot data for an empty result")
@@ -355,7 +360,7 @@ def _plot_outputs(rows: tuple[ResultRow, ...], out_dir: Path) -> list[tuple[Path
         text = _csv_line(PLOT_HEADER) + "".join(
             [_csv_line((row.trial_count, row.rule, row.probability_pct)) for row in series]
         )
-        outputs.append((out_dir / f"plot_{case}.csv", text))
+        outputs.append((f"plot_{case}.csv", text))
     return outputs
 
 
@@ -365,14 +370,18 @@ def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
     return atomic_write_texts([(path, _results_text(rows))])[0]
 
 
-def _write_in_dir(out_dir: Path, outputs: list[tuple[Path, str]]) -> list[Path]:
-    """``atomic_write_texts(outputs)`` after making ``out_dir`` and its missing
-    parents; a failure removes the directories that were missing, deepest
-    first, so it leaves none behind."""
+def _write_in_dir(out_dir: Path | str, outputs: list[tuple[str, str]]) -> list[Path]:
+    """``atomic_write_texts`` of each ``(name, text)`` as ``out_dir``/name after
+    making ``out_dir`` and its missing parents; a failure removes the
+    directories that were missing, deepest first, so it leaves none behind.
+    An empty ``out_dir`` is refused as ``mkdir ""`` refuses it."""
+    if out_dir == "":  # Path("") is ".", a directory the caller never named
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+    out_dir = Path(out_dir)
     missing = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        return atomic_write_texts(outputs)
+        return atomic_write_texts([(out_dir / name, text) for name, text in outputs])
     except BaseException:
         for path in missing:
             with suppress(OSError):  # not made, or no longer empty
@@ -383,16 +392,12 @@ def _write_in_dir(out_dir: Path, outputs: list[tuple[Path, str]]) -> list[Path]:
 def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
     """One CSV per case with (trial_count, rule, probability), by trial count;
     all of them or none."""
-    out_dir = Path(out_dir)
-    return _write_in_dir(out_dir, _plot_outputs(rows, out_dir))
+    return _write_in_dir(out_dir, _plot_outputs(rows))
 
 
 def write_study_csvs(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
     """``out_dir``/results.csv, then the plot CSVs, all of them or none."""
-    out_dir = Path(out_dir)
-    return _write_in_dir(
-        out_dir, [(out_dir / "results.csv", _results_text(rows)), *_plot_outputs(rows, out_dir)]
-    )
+    return _write_in_dir(out_dir, [("results.csv", _results_text(rows)), *_plot_outputs(rows)])
 
 
 def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Literal
 
 from .core import (
@@ -48,41 +49,30 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class RuleTrace:
-    """Audit log of a rule run: one entry per selected project, in order.
+    """Audit log of a rule run: one pick per selected project, in order.
 
-    ``RuleTrace(rule, entries, capacity)`` holds what it is given. A rule
-    records its picks as plain tuples and returns a trace that builds ``entries``
-    from them on first read, so a caller that reads only the budget does not
-    pay for them. smr's ``capacity`` is ceil(n/k), and its assignment is the
-    entries' voter sets, each voter represented by its entry's project.
+    A trace stores the rule's picks as plain tuples. sccr and smr record
+    ``(project, score, voter mask)``, bit v of the mask being voter v; stv
+    records ``(candidate, support numerator, den, supporters)``, its support
+    being ``numerator / den`` and its supporters a tuple of voter ids.
+    ``entries``, one ``TraceEntry`` per pick, is built from them on its first
+    read and kept, so a caller that reads only the budget does not pay for
+    them; two threads racing on that first read at worst both build them.
+    Equality, hashing, repr, pickling and copying use the three stored fields
+    alone, so two traces are equal when their picks are. smr's ``capacity``
+    is ceil(n/k), and its assignment is the entries' voter sets, each voter
+    represented by its entry's project.
     """
 
     rule: str
-    entries: tuple[TraceEntry, ...]
+    picks: tuple[tuple, ...]
     capacity: int | None = None  # set by smr
 
-    @classmethod
-    def _deferred(cls, build: Callable[[], tuple], rule: str, capacity: int | None = None):
-        """The trace whose ``entries`` are the pure ``build()``, called at their first read."""
-        self = object.__new__(cls)
-        vars(self).update(rule=rule, capacity=capacity, _build=build)
-        return self
-
-    def __getattr__(self, name: str):
-        # reached only for names not set: a deferred trace's entries before their first read
-        state = vars(self)
-        build = state.get("_build")
-        if name == "entries" and build is not None:
-            state["entries"] = build()
-            state.pop("_build", None)
-        try:
-            return state[name]  # set above, or by a thread whose first read came first
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __reduce__(self):
-        # a deferred trace holds a closure, which does not pickle: reduce to the constructor
-        return RuleTrace, (self.rule, self.entries, self.capacity)
+    @cached_property
+    def entries(self) -> tuple[TraceEntry, ...]:
+        if self.rule == "stv":
+            return tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in self.picks)
+        return tuple(TraceEntry(p, score, frozenset(voter_ids(mask))) for p, score, mask in self.picks)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -183,8 +173,7 @@ def seq_chamberlin_courant(
             covered = _rank_sums([rankings[v] for v in voter_ids(newly)], m)
             rank_sums = list(map(operator.sub, rank_sums, covered))
 
-    trace = RuleTrace._deferred(lambda: _trace_entries(picks), "sccr")
-    return make_budget(instance, chosen), trace
+    return make_budget(instance, chosen), RuleTrace("sccr", tuple(picks))
 
 
 # --- quota-capacity assignment greedy ------------------------------------------
@@ -293,11 +282,6 @@ def _voter_mask(voters: Iterable[int]) -> int:
     return sum(1 << v for v in voters)
 
 
-def _trace_entries(picks: list[tuple[int, int, int]]) -> tuple[TraceEntry, ...]:
-    """The trace entries of picks recorded as ``(project, score, voter mask)``."""
-    return tuple(TraceEntry(p, score, frozenset(voter_ids(mask))) for p, score, mask in picks)
-
-
 def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget, RuleTrace]:
     """Assignment greedy for equal-cost instances.
 
@@ -372,8 +356,7 @@ def seq_monroe(instance: Instance, mode: ScoringMode = APPROVAL) -> tuple[Budget
             picks.append((best, total, top))
             unassigned ^= top
 
-    trace = RuleTrace._deferred(lambda: _trace_entries(picks), "smr", cap)
-    return make_budget(instance, [p for p, _, _ in picks]), trace
+    return make_budget(instance, [p for p, _, _ in picks]), RuleTrace("smr", tuple(picks), cap)
 
 
 # --- single transferable vote ---------------------------------------------------
@@ -428,7 +411,7 @@ def stv(
     supporters: dict[int, list[int]] = {c: [] for c in support}
     moving: Iterable[int] = range(n)  # voters whose top active candidate is unknown
     # per elected candidate: (candidate, its support's numerator, den then, its supporters)
-    picks: list[tuple[int, int, int, list[int]]] = []
+    picks: list[tuple[int, int, int, tuple[int, ...]]] = []
     while len(picks) < k:
         for v in moving:
             ranking = rankings[v]
@@ -439,7 +422,7 @@ def stv(
             support[ranking[i]] += num[v]
             supporters[ranking[i]].append(v)
         if len(picks) + len(support) == k:
-            picks += [(c, support[c], den, supporters[c]) for c in support]
+            picks += [(c, support[c], den, tuple(supporters[c])) for c in support]
             break
         winner = max(support, key=support.__getitem__)
         wins = support[winner] * qd >= qn * den
@@ -447,7 +430,7 @@ def stv(
         total = support.pop(removed)
         moving = supporters.pop(removed)
         if wins:
-            picks.append((winner, total, den, moving))
+            picks.append((winner, total, den, tuple(moving)))
             scale = total * qd
             keep = scale - qn * den
             kept = [num[v] * keep for v in moving]
@@ -460,11 +443,7 @@ def stv(
             den //= g
             support = {c: s * scale // g for c, s in support.items()}
 
-    def build() -> tuple[TraceEntry, ...]:
-        return tuple(TraceEntry(c, Fraction(s, d), frozenset(voters)) for c, s, d, voters in picks)
-
-    trace = RuleTrace._deferred(build, "stv")
-    return make_budget(instance, [c for c, _, _, _ in picks]), trace
+    return make_budget(instance, [c for c, _, _, _ in picks]), RuleTrace("stv", tuple(picks))
 
 
 # --- registry --------------------------------------------------------------------

@@ -7,7 +7,9 @@ plain loops. None of it uses the library's int bitmasks
 (``axioms._represented``), so a bug in either shows up as a disagreement
 instead of passing through both sides of a comparison. An instance builds
 its ballots from its masks, so ``naive_approver_masks`` checks the masks
-that ``Instance(...)`` stores against the ballots it was given.
+that ``Instance(...)`` stores against the ballots it was given. A reference
+returns its trace as picks in its rule's shape, each voter mask ORed in
+voter by voter (``naive_mask``).
 
 The references keep the straightforward loops: smr re-sorts every unassigned
 voter per project per round and, for k <= 2, enumerates every size-k budget
@@ -39,7 +41,6 @@ from pbelect.rules import (
     APPROVAL,
     HARE,
     RuleTrace,
-    TraceEntry,
     _check_mode,
     _quota_value,
     committee_size,
@@ -53,6 +54,14 @@ def naive_approver_masks(ballots, m):
         for p in ballot:
             masks[p] |= 1 << v
     return tuple(masks)
+
+
+def naive_mask(voters):
+    """The bitmask of ``voters``, ORed in voter by voter."""
+    mask = 0
+    for v in voters:
+        mask |= 1 << v
+    return mask
 
 
 MAX_PROJECTS = 16  # brute_force_cc_optimal enumerates all 2**m subsets
@@ -125,15 +134,15 @@ def brute_force_monroe_optimal(instance, k, mode=APPROVAL):
     return make_budget(instance, ids), rep, capacity, score
 
 
-def rep_entries(instance, ids, rep, mode=APPROVAL):
-    """Trace entries of the projects ``ids``, ascending, each holding the voters
-    ``rep`` maps to it and their summed score."""
-    entries = []
+def rep_picks(instance, ids, rep, mode=APPROVAL):
+    """smr trace picks of the projects ``ids``, ascending, each
+    ``(project, summed score, voter mask)`` of the voters ``rep`` maps to it."""
+    picks = []
     for p in sorted(ids):
         voters = [v for v, q in rep.items() if q == p]
         total = sum(_voter_score(instance, mode, p, v) for v in voters)
-        entries.append(TraceEntry(p, total, frozenset(voters)))
-    return tuple(entries)
+        picks.append((p, total, naive_mask(voters)))
+    return tuple(picks)
 
 
 def validate_assignment(instance, budget, trace):
@@ -166,9 +175,9 @@ def ref_seq_monroe(instance, mode=APPROVAL):
     cap = -(-instance.n // k)
     if k <= 2:
         ids, rep, _ = best_budget_of_size(instance, mode, k, cap)
-        return make_budget(instance, ids), RuleTrace("smr", rep_entries(instance, ids, rep, mode), cap)
+        return make_budget(instance, ids), RuleTrace("smr", rep_picks(instance, ids, rep, mode), cap)
     unassigned = set(range(instance.n))
-    chosen, entries = set(), []
+    chosen, picks = set(), []
     for _ in range(k):
         best, best_total, best_top = -1, -1, []
         for p in range(instance.m):
@@ -179,13 +188,18 @@ def ref_seq_monroe(instance, mode=APPROVAL):
             total = sum(_voter_score(instance, mode, p, v) for v in top)
             if total > best_total:
                 best, best_total, best_top = p, total, top
-        entries.append(TraceEntry(best, best_total, frozenset(best_top)))
+        picks.append((best, best_total, naive_mask(best_top)))
         chosen.add(best)
         unassigned.difference_update(best_top)
-    return make_budget(instance, chosen), RuleTrace("smr", tuple(entries), cap)
+    return make_budget(instance, chosen), RuleTrace("smr", tuple(picks), cap)
 
 
 # --- reference stv --------------------------------------------------------------
+
+def _stv_pick(candidate, support, supporters):
+    """stv's trace pick of a ``Fraction`` support."""
+    return candidate, support.numerator, support.denominator, tuple(supporters)
+
 
 def ref_stv(instance, k, quota=HARE):
     size = committee_size(instance)
@@ -198,7 +212,7 @@ def ref_stv(instance, k, quota=HARE):
     weights = [Fraction(1)] * n
     pointer = [0] * n
     active = set(range(instance.m))
-    elected, entries = [], []
+    elected, picks = [], []
     while len(elected) < k:
         support = {c: Fraction(0) for c in active}
         supporters = {c: [] for c in active}
@@ -210,7 +224,7 @@ def ref_stv(instance, k, quota=HARE):
             supporters[ranking[pointer[v]]].append(v)
         if len(elected) + len(active) == k:
             for c in sorted(active):
-                entries.append(TraceEntry(c, support[c], frozenset(supporters[c])))
+                picks.append(_stv_pick(c, support[c], supporters[c]))
                 elected.append(c)
             break
         reaching = [c for c in active if support[c] >= q]
@@ -219,7 +233,7 @@ def ref_stv(instance, k, quota=HARE):
             total = support[winner]
             for v in supporters[winner]:
                 weights[v] *= (total - q) / total
-            entries.append(TraceEntry(winner, total, frozenset(supporters[winner])))
+            picks.append(_stv_pick(winner, total, supporters[winner]))
             active.remove(winner)
             elected.append(winner)
         else:
@@ -231,7 +245,7 @@ def ref_stv(instance, k, quota=HARE):
             f"stv with k={k} produced an infeasible budget (cost {budget.total_cost} "
             f"over limit {instance.limit})"
         )
-    return budget, RuleTrace("stv", tuple(entries))
+    return budget, RuleTrace("stv", tuple(picks))
 
 
 # --- reference sccr and axiom scan --------------------------------------------------
@@ -240,7 +254,7 @@ def ref_sccr(instance, mode=APPROVAL):
     _check_mode(instance, mode)
     approvers = _approvers(instance)
     unsatisfied = set(range(instance.n))
-    chosen, spent, entries = set(), 0, []
+    chosen, spent, picks = set(), 0, []
     while True:
         best, best_score = -1, -1
         for p in range(instance.m):
@@ -255,11 +269,11 @@ def ref_sccr(instance, mode=APPROVAL):
         if best < 0:
             break
         newly = approvers[best] & unsatisfied
-        entries.append(TraceEntry(best, best_score, frozenset(newly)))
+        picks.append((best, best_score, naive_mask(newly)))
         chosen.add(best)
         spent += instance.costs[best]
         unsatisfied -= newly
-    return make_budget(instance, chosen), RuleTrace("sccr", tuple(entries))
+    return make_budget(instance, chosen), RuleTrace("sccr", tuple(picks))
 
 
 def _deprived(instance, budget, axiom):

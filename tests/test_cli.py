@@ -6,6 +6,7 @@ import argparse
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbelect import harness
 from pbelect.axioms import AXIOMS, check_axiom
 from pbelect.cli import _build_parser, _emit, main
 from pbelect.core import (
@@ -872,6 +874,47 @@ def test_experiment_rejects_workers_below_one(workers, tmp_path):
     argv = ["experiment", "--workers", workers, "--out-dir", str(tmp_path / "out")]
     assert refused(argv, 1, tmp_path) == (
         f"error: invalid-input: workers must be a positive integer, got {int(workers)}"
+    )
+
+
+@pytest.mark.parametrize("command", ["experiment", "plot-data"])
+def test_an_empty_out_dir_is_an_io_error(command, tmp_path):
+    """``Path("")`` is ``.``, so an empty --out-dir would write into the
+    working directory; it is refused as ``mkdir ""`` refuses it."""
+    config = small_config(trial_counts=(2,))
+    inputs = {
+        "experiment": ["--config", str(write_json(tmp_path / "exp.json", experiment_config_to_dict(config)))],
+        "plot-data": ["--results", str(write_results_csv(run_experiment(config), tmp_path / "results.csv"))],
+    }
+    assert refused([command, *inputs[command], "--out-dir", ""], 1, tmp_path) == (
+        "error: io-error: [Errno 2] No such file or directory: ''"
+    )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched _evaluate_trial reaches the pool's workers only when they are forked",
+)
+def test_a_dead_worker_is_one_contract_error(tmp_path, monkeypatch):
+    """A pool worker that dies at trial 3 of a 40-trial study ends in exit 2
+    and one error line, with no file written."""
+    evaluate = harness._evaluate_trial
+    parent = os.getpid()
+
+    def dying(axiom, record_timing, job):
+        if job[1] == 3 and os.getpid() != parent:
+            os._exit(9)
+        return evaluate(axiom, record_timing, job)
+
+    # the pool pickles the job function by this name, which a forked worker resolves to dying
+    dying.__module__, dying.__qualname__ = harness.__name__, "_evaluate_trial"
+    monkeypatch.setattr(harness, "_evaluate_trial", dying)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = write_json(tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(40,))))
+    argv = ["experiment", "--config", str(config), "--workers", "2", "--out-dir", str(tmp_path / "out")]
+    assert refused(argv, 2, tmp_path) == (
+        "error: contract: a worker process died: A process in the process pool was terminated "
+        "abruptly while the future was running or pending."
     )
 
 

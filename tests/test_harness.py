@@ -345,23 +345,19 @@ def test_replay_unknown_case():
 
 
 def test_the_study_and_replay_build_no_trace(monkeypatch):
-    """A trial reads only each rule's budget, so no rule trace is ever built:
-    with every trace's build made to fail, the study and --replay return what
-    they returned before."""
+    """A trial reads only each rule's budget, so no trace's entries are ever
+    built: with every read of a trace's entries made to fail, the study and
+    --replay return what they returned before."""
     from pbelect.rules import RuleTrace
 
     config = default_experiment_config(trial_counts=(50,))
     rows = run_experiment(config)
     replays = [replay_trial(config, case.name, 7) for case in config.cases]
-    deferred = RuleTrace._deferred.__func__
 
-    def unbuildable(cls, build, rule, capacity=None):
-        def fail():
-            raise AssertionError(f"a deferred {rule} trace was built")
+    def unbuildable(trace: RuleTrace):
+        raise AssertionError(f"a {trace.rule} trace's entries were built")
 
-        return deferred(cls, fail, rule, capacity)
-
-    monkeypatch.setattr(RuleTrace, "_deferred", classmethod(unbuildable))
+    monkeypatch.setattr(RuleTrace, "entries", property(unbuildable))
     assert run_experiment(config) == rows
     assert [replay_trial(config, case.name, 7) for case in config.cases] == replays
 

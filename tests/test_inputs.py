@@ -391,7 +391,8 @@ def test_cli_ends_every_argv_with_an_exit_code(argv, at, insert, text):
             assert err == ""
         made = [path.relative_to(tmp) for path in tmp.rglob("*") if path not in inputs]
         assert not [path for path in made if TEMP_FILE.search(path.name)]
-        named = {Path(arg) for arg in argv} | {Path("out")}
+        # Path("") is ".", a parent of every relative path: an empty entry names none
+        named = {Path(arg) for arg in argv if arg} | {Path("out")}
         for path in made:  # each output is a path argv names, inside one, or above one
             assert any(path == a or a in path.parents or path in a.parents for a in named), path
 

@@ -33,7 +33,6 @@ from pbelect.rules import (
     HARE,
     RULES,
     RuleTrace,
-    TraceEntry,
     _lowest_bits,
     committee_size,
     seq_chamberlin_courant,
@@ -42,7 +41,7 @@ from pbelect.rules import (
 )
 
 from conftest import coverage, random_unit_instance
-from oracles import brute_force_cc_optimal, brute_force_monroe_optimal, rep_entries, validate_assignment
+from oracles import brute_force_cc_optimal, brute_force_monroe_optimal, rep_picks, validate_assignment
 
 
 # --- coverage greedy ------------------------------------------------------------
@@ -141,17 +140,13 @@ SMR_PINNED = {
     # i_c: k = 2, the enumerated pair
     "k2": (
         lambda: Instance([1, 1], [{0}, {0}, {1}, {1}], 2),
-        (TraceEntry(0, 2, frozenset({0, 1})), TraceEntry(1, 2, frozenset({2, 3}))),
+        ((0, 2, 0b0011), (1, 2, 0b1100)),
         {"0": 0, "1": 0, "2": 1, "3": 1},
     ),
     # the greedy hand trace: k = 3, voter 2 topped up to project 2
     "k3": (
         lambda: Instance([1, 1, 1, 1], [{0}, {0}, {0}, {1}, {1}, {2}], 3),
-        (
-            TraceEntry(0, 2, frozenset({0, 1})),
-            TraceEntry(1, 2, frozenset({3, 4})),
-            TraceEntry(2, 1, frozenset({2, 5})),
-        ),
+        ((0, 2, 0b000011), (1, 2, 0b011000), (2, 1, 0b100100)),
         {"0": 0, "1": 0, "2": 2, "3": 1, "4": 1, "5": 2},
     ),
 }
@@ -160,18 +155,18 @@ SMR_PINNED = {
 @pytest.mark.parametrize("case", list(SMR_PINNED))
 def test_smr_trace_json_writes_the_assignment_by_voter(case):
     """smr's trace JSON writes its entries' voter sets as one map keyed in
-    ascending voter order; an eager trace of the same entries and capacity
-    equals the rule's and pickles and deep-copies equal."""
-    instance, entries, rep = SMR_PINNED[case]
-    eager = RuleTrace("smr", entries, 2)
+    ascending voter order; a trace of the same picks and capacity equals the
+    rule's and pickles and deep-copies equal."""
+    instance, picks, rep = SMR_PINNED[case]
+    expected = RuleTrace("smr", picks, 2)
     assignment = seq_monroe(instance())[1].to_dict()["assignment"]
     assert assignment == {"capacity": 2, "rep": rep}
     assert list(assignment["rep"]) == sorted(rep, key=int)
-    assert seq_monroe(instance())[1] == eager
-    assert eager.to_dict() == seq_monroe(instance())[1].to_dict()
-    for trace in (eager, seq_monroe(instance())[1]):
-        assert pickle.loads(pickle.dumps(trace)) == eager
-        assert copy.deepcopy(trace) == eager
+    assert seq_monroe(instance())[1] == expected
+    assert expected.to_dict() == seq_monroe(instance())[1].to_dict()
+    for trace in (expected, seq_monroe(instance())[1]):
+        assert pickle.loads(pickle.dumps(trace)) == expected
+        assert copy.deepcopy(trace) == expected
 
 
 def test_smr_rejects_unequal_costs(i_b):
@@ -380,7 +375,7 @@ def test_monroe_oracle_beats_single_order_greedy():
     inst = Instance([1, 1], [{0, 1}, {0, 1}, {0}, {1}], 2)
     budget, rep, capacity, score = brute_force_monroe_optimal(inst, 2)
     assert score == 4
-    validate_assignment(inst, budget, RuleTrace("smr", rep_entries(inst, budget.selected, rep), capacity))
+    validate_assignment(inst, budget, RuleTrace("smr", rep_picks(inst, budget.selected, rep), capacity))
 
 
 def test_monroe_oracle_assignment_matches_full_enumeration():
@@ -406,10 +401,10 @@ def test_monroe_oracle_assignment_matches_full_enumeration():
                 )
                 best = max(best, total)
         assert score == best
-        validate_assignment(inst, budget, RuleTrace("smr", rep_entries(inst, budget.selected, rep), cap))
+        validate_assignment(inst, budget, RuleTrace("smr", rep_picks(inst, budget.selected, rep), cap))
 
 
-# --- deferred traces -------------------------------------------------------------------
+# --- traces and their cached entries ---------------------------------------------------
 
 def _ranked_unit(limit: int) -> Instance:
     """Seven voters over four unit-cost projects, ballots the first two of each ranking."""
@@ -439,19 +434,28 @@ DEFERRED_CASES = {
 
 @pytest.mark.parametrize("case", list(DEFERRED_CASES))
 def test_a_deferred_trace_behaves_like_an_eager_one(case):
-    """A rule's trace is a plain RuleTrace that builds its fields on the first
-    read, whichever operation reads them, and keeps what it built."""
+    """A rule's trace is a plain RuleTrace over its rule, picks and capacity:
+    it equals, hashes, prints, pickles and copies as the trace rebuilt from
+    those three fields, none of which builds its entries, and it builds its
+    entries on their first read and keeps them."""
     run = DEFERRED_CASES[case]
     source = run()[1]
-    eager = RuleTrace(source.rule, source.entries, source.capacity)
+    rebuilt = RuleTrace(source.rule, source.picks, source.capacity)
     assert source.entries  # every case funds a project
+    assert rebuilt.entries == source.entries
     assert type(run()[1]) is RuleTrace
-    assert run()[1] == eager
-    assert eager == run()[1]
-    assert repr(run()[1]) == repr(eager)
-    assert run()[1].to_dict() == eager.to_dict()
-    assert pickle.loads(pickle.dumps(run()[1])) == eager
-    assert copy.deepcopy(run()[1]) == eager
+    assert run()[1] == rebuilt
+    assert rebuilt == run()[1]
+    assert repr(run()[1]) == repr(rebuilt)
+    assert run()[1].to_dict() == rebuilt.to_dict()
+    assert pickle.loads(pickle.dumps(run()[1])) == rebuilt
+    assert copy.deepcopy(run()[1]) == rebuilt
+    unread = run()[1]
+    assert hash(unread) == hash(rebuilt)
+    for copied in (pickle.loads(pickle.dumps(unread)), copy.deepcopy(unread)):
+        assert copied == rebuilt and "entries" not in vars(copied)
+    assert unread == rebuilt and repr(unread) == repr(rebuilt)
+    assert "entries" not in vars(unread)
     trace = run()[1]
     assert (trace.capacity is None) == (trace.rule != "smr")
     assert trace.entries is trace.entries
