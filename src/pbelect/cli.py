@@ -108,12 +108,9 @@ def _emit(data: object, out: str | None, *more: tuple[object, str]) -> None:
     """Write ``data`` as ``json.dumps(data, indent=2)`` plus a newline to the
     file ``out``, or to stdout when ``out`` is None, and each further
     ``(data, path)`` pair to its file, all or nothing: every text is rendered
-    and every file is in place before stdout is written, and a failure leaves
-    no output."""
-    texts = [(_json_text(value) + "\n", path) for value, path in ((data, out), *more)]
-    atomic_write_texts([(path, text) for text, path in texts if path is not None])
-    if out is None:
-        sys.stdout.write(texts[0][0])
+    first, stdout is one more output of the ``atomic_write_texts`` commit, and
+    a failure, stdout's included (a full disk, a closed pipe), leaves no file."""
+    atomic_write_texts([(path, _json_text(value) + "\n") for value, path in ((data, out), *more)])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -174,29 +171,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _emit(replay_trial(config, case_name, trial), None)
         return 0
     rows = run_experiment(config, workers=args.workers)
-    for path in write_study_csvs(rows, "out" if args.out_dir is None else args.out_dir):
-        print(f"wrote {path}")
-    _print_table(rows)
+    write_study_csvs(rows, "out" if args.out_dir is None else args.out_dir, tail=_table(rows))
     return 0
 
 
-def _print_table(rows: tuple[ResultRow, ...]) -> None:
-    """After a blank line, one column per (case, rule) and one line per trial
+def _table(rows: tuple[ResultRow, ...]) -> str:
+    """A blank line, then one column per (case, rule) and one line per trial
     count, each cell that row's probability_pct."""
     columns = ["trials", *dict.fromkeys(f"{row.case}/{row.rule}" for row in rows)]
     widths = [max(8, len(column) + 2) for column in columns]
     lines: dict[int, list[str]] = {}
     for row in rows:
         lines.setdefault(row.trial_count, [str(row.trial_count)]).append(row.probability_pct)
-    print()
-    for cells in [columns, *lines.values()]:
-        print("".join(cell.rjust(width) for cell, width in zip(cells, widths)))
+    grid = [columns, *lines.values()]
+    return "\n" + "".join(["".join(map(str.rjust, cells, widths)) + "\n" for cells in grid])
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    rows = results_from_csv(args.results)
-    for path in emit_plot_data(rows, args.out_dir):
-        print(f"wrote {path}")
+    emit_plot_data(results_from_csv(args.results), args.out_dir, tail="")
     return 0
 
 

@@ -139,20 +139,18 @@ def _prefix_ballots(
     masks = [0] * m
     for v in range(n):
         pool = ids.copy()
-        picks: list[int] = []
-        pick = picks.append
         for width, k in steps:
             j = getrandbits(k)
             while j >= width:
                 j = getrandbits(k)
-            pick(pool[j])
-            pool[j] = pool[width - 1]  # the last entry left fills the vacancy
+            pool[j], pool[width - 1] = pool[width - 1], pool[j]  # the pick goes behind those left
         cutoff = getrandbits(cut_bits)
         while cutoff >= cut_width:
             cutoff = getrandbits(cut_bits)
-        rankings.append(tuple(picks))
+        pool.reverse()  # the picks, first to last
+        rankings.append(tuple(pool))
         bit = 1 << v
-        for p in picks[: cutoff + 1]:
+        for p in pool[: cutoff + 1]:
             masks[p] |= bit
     return tuple(rankings), masks
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import errno
 import os
 import re
+import sys
 import time
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
@@ -275,24 +276,29 @@ def replay_trial(config: ExperimentConfig, case_name: str, trial: int) -> dict:
 
 # --- file emission --------------------------------------------------------------
 
-def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
-    """Write each ``(path, text)``, all or none: every text goes to a uniquely
-    named sibling temp file before any is renamed over its target, so
-    concurrent writers do not collide, and a target that is a directory is
-    refused before any rename. Before the renames, each target that was
-    there before gets a hard link beside it, ``pbelect.<16 hex>.bak``. A
-    failure removes every temp file and every target the call created and
+def atomic_write_texts(outputs: Iterable[tuple[Path | str | None, str]]) -> list[Path]:
+    """Write each ``(path, text)``, all or none, a None path being stdout: every
+    file text goes to a uniquely named sibling temp file before any is renamed
+    over its target, so concurrent writers do not collide, and a target that is
+    a directory is refused before any rename. Before the renames, each target
+    that was there before gets a hard link beside it, ``pbelect.<16 hex>.bak``;
+    after them, the stdout texts are written and flushed. A failure, stdout's
+    included, removes every temp file and every target the call created and
     renames each backup back over its target; success removes the backups.
-    Where the file system refuses the hard link (OSError), that target has
-    no backup: a failure keeps it, with the new bytes if its own rename
-    succeeded before a later one failed. Temp files get mode 0o666 less the
-    umask, as ``open(path, "w")`` would give them."""
+    Where the file system refuses the hard link (OSError), that target has no
+    backup: a failure keeps it, with the new bytes if its own rename succeeded
+    before a later step failed. Temp files get mode 0o666 less the umask, as
+    ``open(path, "w")`` would give them."""
     staged: list[tuple[Path, Path]] = []
     existing: set[Path] = set()  # targets there before the call, which a failure keeps
     backups: dict[Path, Path] = {}  # existing target -> its hard link
     replaced: list[Path] = []
+    stdout: list[str] = []
     try:
         for path, text in outputs:
+            if path is None:
+                stdout.append(text)
+                continue
             if path == "":  # Path("") is ".", a directory the caller never named
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             path = Path(path)
@@ -316,6 +322,9 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str, str]]) -> list[Path]:
         for tmp, path in staged:
             os.replace(tmp, path)
             replaced.append(path)
+        if stdout:
+            sys.stdout.writelines(stdout)
+            sys.stdout.flush()
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
@@ -370,18 +379,22 @@ def write_results_csv(rows: tuple[ResultRow, ...], path: Path | str) -> Path:
     return atomic_write_texts([(path, _results_text(rows))])[0]
 
 
-def _write_in_dir(out_dir: Path | str, outputs: list[tuple[str, str]]) -> list[Path]:
-    """``atomic_write_texts`` of each ``(name, text)`` as ``out_dir``/name after
-    making ``out_dir`` and its missing parents; a failure removes the
-    directories that were missing, deepest first, so it leaves none behind.
-    An empty ``out_dir`` is refused as ``mkdir ""`` refuses it."""
+def _write_in_dir(out_dir: Path | str, outputs: list[tuple[str, str]], tail: str | None = None) -> list[Path]:
+    """``atomic_write_texts`` of each ``(name, text)`` as ``out_dir``/name and,
+    given a ``tail``, of one ``wrote <path>`` line per file and then ``tail``
+    to stdout, after making ``out_dir`` and its missing parents; a failure
+    removes the directories that were missing, deepest first, so it leaves
+    none behind. An empty ``out_dir`` is refused as ``mkdir ""`` refuses it."""
     if out_dir == "":  # Path("") is ".", a directory the caller never named
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
     out_dir = Path(out_dir)
     missing = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    writes = [(out_dir / name, text) for name, text in outputs]
+    if tail is not None:
+        writes.append((None, "".join([f"wrote {path}\n" for path, _ in writes]) + tail))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        return atomic_write_texts([(out_dir / name, text) for name, text in outputs])
+        return atomic_write_texts(writes)
     except BaseException:
         for path in missing:
             with suppress(OSError):  # not made, or no longer empty
@@ -389,15 +402,16 @@ def _write_in_dir(out_dir: Path | str, outputs: list[tuple[str, str]]) -> list[P
         raise
 
 
-def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
+def emit_plot_data(rows: tuple[ResultRow, ...], out_dir: Path | str, tail: str | None = None) -> list[Path]:
     """One CSV per case with (trial_count, rule, probability), by trial count;
-    all of them or none."""
-    return _write_in_dir(out_dir, _plot_outputs(rows))
+    all of them or none, with the stdout ``tail`` of ``_write_in_dir``."""
+    return _write_in_dir(out_dir, _plot_outputs(rows), tail)
 
 
-def write_study_csvs(rows: tuple[ResultRow, ...], out_dir: Path | str) -> list[Path]:
-    """``out_dir``/results.csv, then the plot CSVs, all of them or none."""
-    return _write_in_dir(out_dir, [("results.csv", _results_text(rows)), *_plot_outputs(rows)])
+def write_study_csvs(rows: tuple[ResultRow, ...], out_dir: Path | str, tail: str | None = None) -> list[Path]:
+    """``out_dir``/results.csv, then the plot CSVs, all of them or none, with
+    the stdout ``tail`` of ``_write_in_dir``."""
+    return _write_in_dir(out_dir, [("results.csv", _results_text(rows)), *_plot_outputs(rows)], tail)
 
 
 def results_from_csv(path: Path | str) -> tuple[ResultRow, ...]:

@@ -1,10 +1,11 @@
 """Shared fixtures: the five hand-traced elections, random-instance helpers,
 the coverage, prefix and probability helpers the tests check results with,
 the probe that forbids building an instance's ballots, and the CLI runner
-that asserts the refusal contract."""
+that asserts the refusal contract, with a stdout on a full disk."""
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import random
@@ -173,14 +174,32 @@ def _tree(root: Path) -> dict[Path, bytes | None]:
     }
 
 
-def run_main(argv: list[str], root: Path) -> tuple[int, str, str]:
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: its ``write``, or its ``flush`` when ``fails``
+    is "flush", raises OSError(ENOSPC), and it keeps none of the text."""
+
+    def __init__(self, fails: str) -> None:
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text: str) -> int:
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)  # held in a buffer that never reaches the disk
+
+    def flush(self) -> None:
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def run_main(argv: list[str], root: Path, stdout: io.StringIO | None = None) -> tuple[int, str, str]:
     """``cli.main(argv)`` run in the directory ``root`` under redirected stdout
-    and stderr: (exit code, stdout, stderr). A refusal, exit 1 or 2, must keep
-    the CLI's contract: nothing on stdout, exactly one stderr line
-    ``error: <kind>: <message>`` of a kind its code reports, and the tree under
-    ``root`` unchanged in names and bytes."""
+    (``stdout``, by default a new StringIO) and stderr: (exit code, stdout,
+    stderr). A refusal, exit 1 or 2, must keep the CLI's contract: nothing on
+    stdout, exactly one stderr line ``error: <kind>: <message>`` of a kind its
+    code reports, and the tree under ``root`` unchanged in names and bytes."""
     before = _tree(root)
-    stdout, stderr = io.StringIO(), io.StringIO()
+    stdout, stderr = stdout or io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(root)  # a relative path the command makes lands under root
     try:
@@ -197,10 +216,10 @@ def run_main(argv: list[str], root: Path) -> tuple[int, str, str]:
     return code, out, err
 
 
-def refused(argv: list[str], code: int, root: Path) -> str:
+def refused(argv: list[str], code: int, root: Path, stdout: io.StringIO | None = None) -> str:
     """Run ``argv`` through ``run_main``, assert that it exits with ``code``,
     one of 1 and 2, and return its one error line."""
     assert code in ERROR_KINDS
-    got, _, err = run_main(argv, root)
+    got, _, err = run_main(argv, root, stdout)
     assert got == code, err
     return err[:-1]

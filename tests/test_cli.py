@@ -56,7 +56,7 @@ from pbelect.rules import (
     seq_monroe,
     stv,
 )
-from conftest import refused
+from conftest import FullStdout, refused
 from test_harness import small_config
 
 FIXTURES = ["i_a", "i_b", "i_c", "i_d", "i_e"]
@@ -730,12 +730,12 @@ def test_generated_instances_flow_through_unmodified(tmp_path):
 # --- experiment and plot-data ---------------------------------------------------------
 
 def test_experiment_and_plot_data_round_trip(tmp_path, capsys):
-    config = write_json(
-        tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(4, 9)))
-    )
+    study = small_config(trial_counts=(4, 9))
+    config = write_json(tmp_path / "exp.json", experiment_config_to_dict(study))
     out_dir = tmp_path / "out"
     assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 0
     results = out_dir / "results.csv"
+    assert results_from_csv(results) == run_experiment(study)  # and so written byte for byte
     lines = results.read_text().splitlines()
     assert lines[0] == "trial_count,case,rule,probability_pct,elapsed_ms"
     assert len(lines) == 1 + 2 * 4  # two counts x (3 equal rules + 1 general)
@@ -864,14 +864,26 @@ def test_experiment_replay_rejects_options_it_ignores(options, refused_option, t
 
 
 def test_experiment_rejects_invalid_config(tmp_path):
-    config = write_json(tmp_path / "exp.json", {"trial_counts": [0], "cases": []})
-    argv = ["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]
-    assert refused(argv, 1, tmp_path) == "error: invalid-input: every trial count must be a positive integer"
+    study = experiment_config_to_dict(small_config(trial_counts=(5,)))
+    for changes, message in [
+        ({"trial_counts": [0], "cases": []}, "every trial count must be a positive integer"),
+        ({"trial_counts": [0]}, "every trial count must be a positive integer"),
+        ({"trial_counts": [5, 5]}, "trial_counts repeats a value"),
+        ({"trial_counts": [2], "cases": []}, "at least one case is required"),
+    ]:
+        config = write_json(tmp_path / "exp.json", {**study, **changes})
+        argv = ["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+        assert refused(argv, 1, tmp_path) == f"error: invalid-input: {message}"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_experiment_rejects_workers_below_one(workers, tmp_path):
+@pytest.mark.parametrize(
+    "workers, config", [("0", False), ("-3", False), ("0", True)], ids=["0", "-3", "config-0"]
+)
+def test_experiment_rejects_workers_below_one(workers, config, tmp_path):
     argv = ["experiment", "--workers", workers, "--out-dir", str(tmp_path / "out")]
+    if config:
+        study = experiment_config_to_dict(small_config(trial_counts=(5,)))
+        argv += ["--config", str(write_json(tmp_path / "exp.json", study))]
     assert refused(argv, 1, tmp_path) == (
         f"error: invalid-input: workers must be a positive integer, got {int(workers)}"
     )
@@ -889,6 +901,42 @@ def test_an_empty_out_dir_is_an_io_error(command, tmp_path):
     assert refused([command, *inputs[command], "--out-dir", ""], 1, tmp_path) == (
         "error: io-error: [Errno 2] No such file or directory: ''"
     )
+
+
+# Each command that writes stdout, run where its inputs, an earlier t.json and
+# an earlier run's prev/results.csv are, with the stdout calls made to fail: a
+# command that writes no file fails at its flush, which only a commit that
+# flushes stdout reaches.
+STDOUT_COMMANDS = {
+    "run-rule": ("run-rule --rule sccr --instance i.json", ["flush"]),
+    "run-rule-trace": ("run-rule --rule sccr --instance i.json --trace t.json", ["write", "flush"]),
+    "check-axiom": ("check-axiom --axiom ujr --instance i.json --budget b.json", ["flush"]),
+    "replay": ("experiment --config exp.json --replay equal:0", ["flush"]),
+    "experiment-new-dir": ("experiment --config exp.json --out-dir new/out", ["write", "flush"]),
+    "experiment-over-results": ("experiment --config exp.json --out-dir prev", ["write", "flush"]),
+    "plot-data": ("plot-data --results prev/results.csv --out-dir plots", ["write", "flush"]),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fails",
+    [
+        pytest.param(command.split(), fails, id=f"{name}-{fails}")
+        for name, (command, failing) in STDOUT_COMMANDS.items()
+        for fails in failing
+    ],
+)
+def test_a_stdout_that_fails_leaves_no_file(argv, fails, tmp_path, i_e):
+    """A full disk under stdout is one io-error line, and every file the
+    command wrote is taken back: no new file or directory, no changed bytes."""
+    write_json(tmp_path / "i.json", instance_to_dict(i_e))
+    write_json(tmp_path / "b.json", {"selected": [2, 3]})
+    (tmp_path / "t.json").write_text("earlier trace\n")
+    write_json(tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(3,))))
+    (tmp_path / "prev").mkdir()
+    write_results_csv(run_experiment(small_config(trial_counts=(2,))), tmp_path / "prev" / "results.csv")
+    line = refused(argv, 1, tmp_path, FullStdout(fails))
+    assert line == "error: io-error: [Errno 28] No space left on device"
 
 
 @pytest.mark.skipif(

@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -34,7 +35,7 @@ from pbelect.harness import (
     write_results_csv,
 )
 
-from conftest import forbid_ballot_builds, probability
+from conftest import FullStdout, forbid_ballot_builds, probability
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -477,6 +478,17 @@ def test_failed_rename_removes_only_the_targets_the_write_made(before, tmp_path,
         assert os.readlink(first) == "elsewhere"
 
 
+def test_a_failed_stdout_keeps_an_existing_target(tmp_path):
+    """stdout, a None path, is written after the last rename; when its flush
+    fails, the target renamed over is put back with its own bytes."""
+    target = tmp_path / "out.txt"
+    target.write_text("OLD\n")
+    with redirect_stdout(FullStdout("flush")), pytest.raises(OSError, match="No space left on device"):
+        atomic_write_texts([(None, "stdout\n"), (target, "new\n")])
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text() == "OLD\n"
+
+
 def test_failed_rename_without_hard_links_keeps_the_new_bytes(tmp_path, monkeypatch):
     """Where the file system refuses a hard link, a target that was there
     before has no backup: it stays, with the bytes of its own rename."""
@@ -513,10 +525,12 @@ def test_results_csv_rejects_bad_header(tmp_path):
         results_from_csv(path)
 
 
-def test_plot_data_shape(tmp_path):
+def test_plot_data_shape(tmp_path, capsys):
     config = default_experiment_config(trial_counts=(2, 3, 4, 5, 6, 7))
     rows = run_experiment(config)
     paths = emit_plot_data(rows, tmp_path)
+    write_results_csv(rows, tmp_path / "results.csv")
+    assert capsys.readouterr().out == ""  # stdout only when a tail is asked for
     names = sorted(p.name for p in paths)
     assert names == ["plot_equal.csv", "plot_general.csv"]
     equal_lines = (tmp_path / "plot_equal.csv").read_text().splitlines()
