@@ -1,5 +1,6 @@
 """Running the Table 2 study end to end with ``pbelect experiment``: the CSV it
-writes, the table it prints, and the arguments it refuses."""
+writes, the table it prints, and the arguments it refuses, each in a fresh
+process."""
 
 from __future__ import annotations
 
@@ -54,12 +55,11 @@ def test_writes_the_study_csv_and_one_table_row_per_count(tmp_path):
 @pytest.mark.parametrize(
     "changes, args, message",
     [
-        ({}, ("--workers", "0"), "workers must be a positive integer"),
         ({"trial_counts": [0]}, (), "every trial count must be a positive integer"),
         ({"trial_counts": [5, 5]}, (), "trial_counts repeats a value"),
         ({"trial_counts": [2], "cases": []}, (), "at least one case is required"),
     ],
-    ids=["workers-zero", "count-zero", "count-repeated", "no-cases"],
+    ids=["count-zero", "count-repeated", "no-cases"],
 )
 def test_invalid_arguments_are_usage_errors(changes, args, message, tmp_path):
     config = experiment_config_to_dict(default_experiment_config(0, (5,)))
