@@ -1,11 +1,10 @@
 """Monte Carlo experiment runner: generate instances, run rules, check axioms.
 
 Trial t uses the same instance in every row that includes it (seed streams are
-nested), aggregation is a commutative count, and timing is off by default, so
-the emitted CSVs are byte-identical no matter how many workers run the trials.
-With ``record_timing`` the elapsed_ms column carries measured wall time per
-row (cumulative over that row's trials) and is the one scheduling-dependent
-output; it reads 0 when timing is off.
+nested) and aggregation is a commutative count. Every trial is timed, but only
+with ``record_timing`` does the elapsed_ms column show the measured wall time
+(cumulative over the row's trials), the one scheduling-dependent output; off by
+default it reads 0, so the CSVs are byte-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -163,18 +162,18 @@ def default_experiment_config(
     )
 
 
-def _run_trial(case: CaseConfig, trial: int, axiom: str, record_timing: bool = False):
+def _run_trial(case: CaseConfig, trial: int, axiom: str):
     """The trial's instance and, per rule of the case in its order, the rule's
-    budget, axiom report and nanoseconds; a failing rule raises ContractError
-    with the trial's ``--replay`` coordinates."""
+    budget, axiom report and nanoseconds, always measured; a failing rule
+    raises ContractError with the trial's ``--replay`` coordinates."""
     instance = generate(case.culture, trial)
     results = []
     try:
         for rule in case.rules:
-            started = time.perf_counter_ns() if record_timing else 0
+            started = time.perf_counter_ns()
             budget = RULES[rule].run(instance)[0]
             report = check_axiom(instance, budget, axiom)
-            results.append((budget, report, time.perf_counter_ns() - started if record_timing else 0))
+            results.append((budget, report, time.perf_counter_ns() - started))
     except (ValidationError, ContractError) as exc:
         raise ContractError(
             f"case {case.name!r} trial {trial} "
@@ -183,12 +182,10 @@ def _run_trial(case: CaseConfig, trial: int, axiom: str, record_timing: bool = F
     return instance, results
 
 
-def _evaluate_trial(
-    axiom: str, record_timing: bool, job: tuple[CaseConfig, int]
-) -> tuple[tuple[bool, ...], tuple[int, ...]]:
-    """Verdict and nanoseconds of each of the case's rules, in its rule order."""
-    results = _run_trial(*job, axiom, record_timing)[1]
-    return tuple([report.satisfied for _, report, _ in results]), tuple([ns for _, _, ns in results])
+def _evaluate_trial(axiom: str, job: tuple[CaseConfig, int]) -> tuple[tuple[bool, int], ...]:
+    """A ``(satisfied, ns)`` pair per rule of the case, in its rule order; the
+    ns is always measured, and ``_aggregate`` decides whether a row shows it."""
+    return tuple([(report.satisfied, ns) for _, report, ns in _run_trial(*job, axiom)[1]])
 
 
 def _format_probability(satisfied: int, count: int) -> str:
@@ -211,7 +208,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     max_trials = max(config.trial_counts)
     jobs = ((case, trial) for case in config.cases for trial in range(max_trials))
-    job = partial(_evaluate_trial, config.axiom, config.record_timing)
+    job = partial(_evaluate_trial, config.axiom)
     # a pool starts all its processes at the first submit: no more than CPUs, and none for one
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers > 1:
@@ -231,9 +228,9 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> tupl
 
 def _aggregate(config: ExperimentConfig, evaluated: Iterator) -> tuple[ResultRow, ...]:
     """Rows ordered by (trial count, case, rule) from ``evaluated``, the
-    trials' ``_evaluate_trial`` results in job order, read once: each case
-    keeps a running count and ns sum per rule and snapshots them at every
-    trial count."""
+    trials' ``_evaluate_trial`` pairs in job order, read once: each case keeps
+    a running count and ns sum per rule and snapshots them at every trial
+    count; elapsed_ms shows the ns sum only with ``record_timing``."""
     rows = []
     counts = sorted(config.trial_counts)
     for case in config.cases:
@@ -241,13 +238,14 @@ def _aggregate(config: ExperimentConfig, evaluated: Iterator) -> tuple[ResultRow
         nanos = [0] * len(case.rules)
         done = 0
         for count in counts:
-            for verdicts, trial_nanos in islice(evaluated, count - done):
-                for r in range(len(case.rules)):
-                    satisfied[r] += verdicts[r]
-                    nanos[r] += trial_nanos[r]
+            for pairs in islice(evaluated, count - done):
+                for r, (verdict, ns) in enumerate(pairs):
+                    satisfied[r] += verdict
+                    nanos[r] += ns
             done = count
+            elapsed = [ns // 1_000_000 if config.record_timing else 0 for ns in nanos]
             rows.extend(
-                ResultRow(count, case.name, rule, _format_probability(satisfied[r], count), nanos[r] // 1_000_000)
+                ResultRow(count, case.name, rule, _format_probability(satisfied[r], count), elapsed[r])
                 for r, rule in enumerate(case.rules)
             )
     return tuple(sorted(rows, key=attrgetter("trial_count")))  # stable: case and rule order stay
@@ -323,6 +321,8 @@ def atomic_write_texts(outputs: Iterable[tuple[Path | str | None, str]]) -> list
             os.replace(tmp, path)
             replaced.append(path)
         if stdout:
+            if sys.stdout is None:  # Python's stdout when descriptor 1 is closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.writelines(stdout)
             sys.stdout.flush()
     except BaseException:

@@ -1,7 +1,7 @@
 """Shared fixtures: the five hand-traced elections, random-instance helpers,
 the coverage, prefix and probability helpers the tests check results with,
 the probe that forbids building an instance's ballots, and the CLI runner
-that asserts the refusal contract, with a stdout on a full disk."""
+that asserts the refusal contract, with a stdout on a full disk or closed."""
 
 from __future__ import annotations
 
@@ -192,22 +192,28 @@ class FullStdout(io.StringIO):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def run_main(argv: list[str], root: Path, stdout: io.StringIO | None = None) -> tuple[int, str, str]:
+# A ``stdout`` for ``run_main``: ``sys.stdout`` is None, as Python sets it
+# when the process starts with descriptor 1 closed.
+CLOSED = object()
+
+
+def run_main(argv: list[str], root: Path, stdout: io.StringIO | object | None = None) -> tuple[int, str, str]:
     """``cli.main(argv)`` run in the directory ``root`` under redirected stdout
-    (``stdout``, by default a new StringIO) and stderr: (exit code, stdout,
-    stderr). A refusal, exit 1 or 2, must keep the CLI's contract: nothing on
-    stdout, exactly one stderr line ``error: <kind>: <message>`` of a kind its
-    code reports, and the tree under ``root`` unchanged in names and bytes."""
+    (``stdout``, by default a new StringIO, or None for ``CLOSED``) and
+    stderr: (exit code, stdout, stderr). A refusal, exit 1 or 2, must keep the
+    CLI's contract: nothing on stdout, exactly one stderr line
+    ``error: <kind>: <message>`` of a kind its code reports, and the tree
+    under ``root`` unchanged in names and bytes."""
     before = _tree(root)
     stdout, stderr = stdout or io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(root)  # a relative path the command makes lands under root
     try:
-        with redirect_stdout(stdout), redirect_stderr(stderr):
+        with redirect_stdout(None if stdout is CLOSED else stdout), redirect_stderr(stderr):
             code = main(argv)
     finally:
         os.chdir(cwd)
-    out, err = stdout.getvalue(), stderr.getvalue()
+    out, err = "" if stdout is CLOSED else stdout.getvalue(), stderr.getvalue()
     if code in ERROR_KINDS:
         assert out == ""
         assert err.endswith("\n") and err.splitlines() == [err[:-1]], err
@@ -216,7 +222,7 @@ def run_main(argv: list[str], root: Path, stdout: io.StringIO | None = None) -> 
     return code, out, err
 
 
-def refused(argv: list[str], code: int, root: Path, stdout: io.StringIO | None = None) -> str:
+def refused(argv: list[str], code: int, root: Path, stdout: io.StringIO | object | None = None) -> str:
     """Run ``argv`` through ``run_main``, assert that it exits with ``code``,
     one of 1 and 2, and return its one error line."""
     assert code in ERROR_KINDS

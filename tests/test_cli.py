@@ -56,7 +56,7 @@ from pbelect.rules import (
     seq_monroe,
     stv,
 )
-from conftest import FullStdout, refused
+from conftest import CLOSED, FullStdout, refused
 from test_harness import small_config
 
 FIXTURES = ["i_a", "i_b", "i_c", "i_d", "i_e"]
@@ -904,17 +904,17 @@ def test_an_empty_out_dir_is_an_io_error(command, tmp_path):
 
 
 # Each command that writes stdout, run where its inputs, an earlier t.json and
-# an earlier run's prev/results.csv are, with the stdout calls made to fail: a
-# command that writes no file fails at its flush, which only a commit that
-# flushes stdout reaches.
+# an earlier run's prev/results.csv are, with the stdout calls made to fail or
+# stdout closed: a command that writes no file fails at its flush, which only
+# a commit that flushes stdout reaches.
 STDOUT_COMMANDS = {
-    "run-rule": ("run-rule --rule sccr --instance i.json", ["flush"]),
-    "run-rule-trace": ("run-rule --rule sccr --instance i.json --trace t.json", ["write", "flush"]),
-    "check-axiom": ("check-axiom --axiom ujr --instance i.json --budget b.json", ["flush"]),
-    "replay": ("experiment --config exp.json --replay equal:0", ["flush"]),
-    "experiment-new-dir": ("experiment --config exp.json --out-dir new/out", ["write", "flush"]),
-    "experiment-over-results": ("experiment --config exp.json --out-dir prev", ["write", "flush"]),
-    "plot-data": ("plot-data --results prev/results.csv --out-dir plots", ["write", "flush"]),
+    "run-rule": ("run-rule --rule sccr --instance i.json", ["flush", "closed"]),
+    "run-rule-trace": ("run-rule --rule sccr --instance i.json --trace t.json", ["write", "flush", "closed"]),
+    "check-axiom": ("check-axiom --axiom ujr --instance i.json --budget b.json", ["flush", "closed"]),
+    "replay": ("experiment --config exp.json --replay equal:0", ["flush", "closed"]),
+    "experiment-new-dir": ("experiment --config exp.json --out-dir new/out", ["write", "flush", "closed"]),
+    "experiment-over-results": ("experiment --config exp.json --out-dir prev", ["write", "flush", "closed"]),
+    "plot-data": ("plot-data --results prev/results.csv --out-dir plots", ["write", "flush", "closed"]),
 }
 
 
@@ -927,16 +927,20 @@ STDOUT_COMMANDS = {
     ],
 )
 def test_a_stdout_that_fails_leaves_no_file(argv, fails, tmp_path, i_e):
-    """A full disk under stdout is one io-error line, and every file the
-    command wrote is taken back: no new file or directory, no changed bytes."""
+    """A full disk under stdout, or a closed stdout (descriptor 1 closed, so
+    ``sys.stdout`` is None), is one io-error line, and every file the command
+    wrote is taken back: no new file or directory, no changed bytes."""
     write_json(tmp_path / "i.json", instance_to_dict(i_e))
     write_json(tmp_path / "b.json", {"selected": [2, 3]})
     (tmp_path / "t.json").write_text("earlier trace\n")
     write_json(tmp_path / "exp.json", experiment_config_to_dict(small_config(trial_counts=(3,))))
     (tmp_path / "prev").mkdir()
     write_results_csv(run_experiment(small_config(trial_counts=(2,))), tmp_path / "prev" / "results.csv")
-    line = refused(argv, 1, tmp_path, FullStdout(fails))
-    assert line == "error: io-error: [Errno 28] No space left on device"
+    if fails == "closed":
+        assert refused(argv, 1, tmp_path, CLOSED) == "error: io-error: [Errno 9] Bad file descriptor"
+    else:
+        line = refused(argv, 1, tmp_path, FullStdout(fails))
+        assert line == "error: io-error: [Errno 28] No space left on device"
 
 
 @pytest.mark.skipif(
@@ -949,10 +953,10 @@ def test_a_dead_worker_is_one_contract_error(tmp_path, monkeypatch):
     evaluate = harness._evaluate_trial
     parent = os.getpid()
 
-    def dying(axiom, record_timing, job):
+    def dying(axiom, job):
         if job[1] == 3 and os.getpid() != parent:
             os._exit(9)
-        return evaluate(axiom, record_timing, job)
+        return evaluate(axiom, job)
 
     # the pool pickles the job function by this name, which a forked worker resolves to dying
     dying.__module__, dying.__qualname__ = harness.__name__, "_evaluate_trial"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 import stat
@@ -12,6 +13,7 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -299,12 +301,11 @@ def test_serial_study_folds_each_trial_as_it_arrives(monkeypatch):
         def __del__(self):
             live["now"] -= 1
 
-    def stub(axiom, record_timing, job):
-        rules = len(job[0].rules)
-        return Result(((True,) * rules, (400_000,) * rules))
+    def stub(axiom, job):
+        return Result(((True, 400_000),) * len(job[0].rules))
 
     monkeypatch.setattr(harness, "_evaluate_trial", stub)
-    rows = run_experiment(small_config(trial_counts=(1000, 3, 7)))
+    rows = run_experiment(small_config(record_timing=True, trial_counts=(1000, 3, 7)))
     assert live["peak"] <= 2
     assert [(row.trial_count, row.case, row.rule) for row in rows] == [
         (count, case.name, rule)
@@ -314,10 +315,18 @@ def test_serial_study_folds_each_trial_as_it_arrives(monkeypatch):
     assert {(row.trial_count, row.elapsed_ms) for row in rows} == {(3, 1), (7, 2), (1000, 400)}
 
 
-def test_timing_mode_fills_elapsed():
-    config = small_config(record_timing=True, trial_counts=(5,))
-    rows = run_experiment(config)
-    assert all(row.elapsed_ms >= 0 for row in rows)
+def test_timing_mode_fills_elapsed(monkeypatch):
+    """Each rule is timed by two clock reads, which a clock that advances a
+    fixed step per read makes one step apart: with timing, a row's elapsed_ms
+    is the floor of its trials' summed steps in ms; without it, 0."""
+    clock = itertools.count(0, 700_001)
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter_ns=lambda: next(clock)))
+    # 5 and 12 steps of 0.700001 ms; a floor per trial would give 0
+    for record_timing, elapsed in ((True, {5: 3, 12: 8}), (False, {5: 0, 12: 0})):
+        rows = run_experiment(small_config(record_timing=record_timing, trial_counts=(5, 12)))
+        assert [(row.trial_count, row.elapsed_ms) for row in rows] == [
+            (count, elapsed[count]) for count in (5, 5, 5, 5, 12, 12, 12, 12)
+        ]
 
 
 def test_master_seed_changes_general_outcomes():
@@ -457,25 +466,35 @@ def _fail_renames_onto(monkeypatch, target: Path) -> None:
     monkeypatch.setattr(os, "replace", replace)
 
 
-@pytest.mark.parametrize("before", ["", "file", "symlink"], ids=["new", "pre-existing", "symlink"])
-def test_failed_rename_removes_only_the_targets_the_write_made(before, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "before, second_before",
+    [("", False), ("file", False), ("symlink", False), ("", True), ("file", True)],
+    ids=["new", "pre-existing", "symlink", "second-pre-existing", "both-pre-existing"],
+)
+def test_failed_rename_removes_only_the_targets_the_write_made(before, second_before, tmp_path, monkeypatch):
     """The second rename fails after the first succeeded: a first target the
     write made is removed, and one that was there before, a dangling symlink
-    too, is put back from its backup."""
+    too, is put back from its backup. A second target that was there before
+    keeps its bytes, and the backup of it, never renamed over, is removed."""
     first, second = tmp_path / "a.txt", tmp_path / "b.txt"
     if before == "file":
         first.write_text("OLD\n")
     elif before == "symlink":
         first.symlink_to("elsewhere")
+    if second_before:
+        second.write_text("OLD b\n")
     _fail_renames_onto(monkeypatch, second)
     with pytest.raises(OSError, match="synthetic rename failure"):
         atomic_write_texts([(first, "new\n"), (second, "new\n")])
     monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == (["a.txt"] if before else [])
+    # no pbelect.*.tmp or pbelect.*.bak is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"] * bool(before) + ["b.txt"] * second_before
     if before == "file":
         assert first.read_text() == "OLD\n"
     elif before == "symlink":
         assert os.readlink(first) == "elsewhere"
+    if second_before:
+        assert second.read_text() == "OLD b\n"
 
 
 def test_a_failed_stdout_keeps_an_existing_target(tmp_path):
